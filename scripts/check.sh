@@ -109,6 +109,9 @@ if [[ $asan_only -eq 0 ]]; then
   cp build/fabric_fault.json BENCH_fabric_fault.json
 fi
 
+# The sanitizer smokes below only check that the benches run clean: their
+# JSON stays in build-asan/, and every committed BENCH_*.json comes from
+# the release leg above, so its wall-clock fields are release timings.
 if [[ $fast -eq 0 ]]; then
   echo "== sanitizers: asan+ubsan build + ctest =="
   cmake --preset asan >/dev/null
@@ -126,15 +129,12 @@ if [[ $fast -eq 0 ]]; then
 
   echo "== sharded name-service churn-storm smoke (asan) =="
   ./build-asan/bench/ablation_ns_shard --quick --json build-asan/ns_shard.json
-  cp build-asan/ns_shard.json BENCH_ns_shard.json
 
   echo "== capability revocation ablation smoke (asan) =="
   ./build-asan/bench/ablation_capability --quick --json build-asan/capability.json
-  cp build-asan/capability.json BENCH_capability.json
 
   echo "== burst-buffer I/O cache ablation smoke (asan) =="
   ./build-asan/bench/ablation_iocache --quick --json build-asan/iocache.json
-  cp build-asan/iocache.json BENCH_iocache.json
 
   echo "== parallel discrete-event engine ablation smoke (asan) =="
   run_timed "ablation_sim_engine (asan)" \
@@ -143,7 +143,6 @@ if [[ $fast -eq 0 ]]; then
   echo "== fabric fault-injection ablation smoke (asan) =="
   run_timed "ablation_fabric_fault (asan)" \
     ./build-asan/bench/ablation_fabric_fault --quick --json build-asan/fabric_fault.json
-  cp build-asan/fabric_fault.json BENCH_fabric_fault.json
 fi
 
 echo "all checks passed"

@@ -73,8 +73,11 @@ class Rng {
     return -mean * std::log(u);
   }
 
-  /// Standard normal via Box–Muller (no cached second value; simplicity over
-  /// speed — noise draws are rare relative to simulation events).
+  /// Standard normal via Box–Muller, without caching the second value.
+  /// Lognormal noise durations make this a hot path: since noise stopped
+  /// costing engine events (hw::Core), noise draws outnumber executed
+  /// events. The algorithm stays as it is all the same, because any change
+  /// to it moves every seeded result.
   double normal(double mu = 0.0, double sigma = 1.0) {
     double u1 = uniform();
     if (u1 <= 0.0) u1 = 0x1.0p-53;

@@ -8,9 +8,12 @@
 // higher run-to-run variance, attributed to the interference a fullweight
 // OS imposes on co-located workloads.
 //
-// Each noise component below is an independent event stream executed in
-// interrupt context on one core (see hw::Core), so noise automatically
-// steals time from whatever application compute is in flight there.
+// Each noise component below (hw::NoiseComponent, declared in hw/core.hpp)
+// becomes an independent arrival stream owned by one core. The core
+// applies its occurrences in interrupt context, in FIFO order with the
+// protocol handlers, whenever something observes it, so noise steals time
+// from whatever application compute is in flight there without creating
+// engine events (see hw::Core and DESIGN.md §14).
 #pragma once
 
 #include <vector>
@@ -21,21 +24,6 @@
 #include "sim/engine.hpp"
 
 namespace xemem::hw {
-
-/// One recurring source of stolen CPU time on a core.
-struct NoiseComponent {
-  const char* name;
-  /// Mean inter-arrival time. Periodic sources use uniform jitter around
-  /// this; Poisson sources draw exponential inter-arrivals.
-  double period_ns;
-  /// For periodic sources: uniform jitter fraction (0.2 = +/-20%).
-  double period_jitter;
-  bool poisson_arrivals;
-  /// Event duration: lognormal with this median...
-  double duration_median_ns;
-  /// ...and this sigma (log-space). sigma 0 gives deterministic durations.
-  double duration_sigma;
-};
 
 /// A named set of components (an OS personality's noise signature).
 struct NoiseProfile {
@@ -102,36 +90,16 @@ inline NoiseProfile vm_linux_noise() {
       }};
 }
 
-namespace detail {
-
-inline sim::Task<void> noise_actor(Core* core, NoiseComponent c, Rng rng,
-                                   sim::TimePoint until) {
-  // Random initial phase so components do not all fire at t=0.
-  co_await sim::delay(static_cast<u64>(rng.uniform(0.0, c.period_ns)));
-  while (sim::now() < until) {
-    const double gap =
-        c.poisson_arrivals
-            ? rng.exponential(c.period_ns)
-            : c.period_ns * rng.uniform(1.0 - c.period_jitter, 1.0 + c.period_jitter);
-    co_await sim::delay(static_cast<u64>(std::max(gap, 1.0)));
-    if (sim::now() >= until) break;
-    const double dur =
-        c.duration_sigma == 0.0
-            ? c.duration_median_ns
-            : rng.lognormal(std::log(c.duration_median_ns), c.duration_sigma);
-    co_await core->run_irq(static_cast<u64>(std::max(dur, 1.0)));
-  }
-}
-
-}  // namespace detail
-
-/// Launch every component of @p profile on @p core until simulated time
-/// @p until (default: effectively forever — suspended actors are reclaimed
-/// at engine teardown).
+/// Start every component of @p profile on @p core at the engine's current
+/// time, each with its own Rng forked from @p parent_rng in component
+/// order. A stream ends at its first arrival at or after @p until
+/// (default: never). Streams create no engine events, so a finite
+/// @p until does not keep Engine::run_until_idle() busy until then; the
+/// core's counters settle against @p eng, which must outlive their reads.
 inline void spawn_noise(sim::Engine& eng, Core& core, const NoiseProfile& profile,
                         Rng& parent_rng, sim::TimePoint until = ~u64{0}) {
   for (const auto& c : profile.components) {
-    eng.spawn(detail::noise_actor(&core, c, parent_rng.fork(), until));
+    core.add_noise(eng, c, parent_rng.fork(), until);
   }
 }
 

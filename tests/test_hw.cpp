@@ -3,7 +3,10 @@
 // stealing, IPI delivery, and the noise models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/units.hpp"
 #include "hw/core.hpp"
@@ -321,6 +324,250 @@ TEST(Noise, DeterministicGivenSeed) {
     return m.core(0).stolen_ns();
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+sim::Task<void> linux_noise_for_10ms(sim::Engine* eng, Core* core, Rng* rng) {
+  spawn_noise(*eng, *core, linux_noise(), *rng);
+  co_await sim::delay(10_ms);
+}
+
+TEST(Noise, CountersFailOutsideTheCoresPartition) {
+  // After a multi-partition run the context is partition 0, whose clock
+  // says nothing about partition 1: the read must fail, not miss noise.
+  sim::Engine eng(7);
+  eng.set_partitions(2);
+  Core core(0, 0);
+  core.set_partition(1);
+  Rng rng(9);
+  eng.spawn_in(1, linux_noise_for_10ms(&eng, &core, &rng));
+  eng.run_until_idle();
+  EXPECT_DEATH(core.stolen_ns(), "read from another partition");
+  EXPECT_DEATH(core.irq_events(), "read from another partition");
+}
+
+// ------------------------------------------------------ Noise equivalence
+
+// Test-only reference: the event-driven noise model the per-core streams
+// replaced. One coroutine per component arrives, draws and charges the core
+// through run_irq, at two engine events per occurrence. It uses nothing but
+// Core::run_irq, so it runs unchanged against the lazy Core.
+sim::Task<void> reference_noise_actor(Core* core, NoiseComponent c, Rng rng,
+                                      sim::TimePoint until) {
+  // Random initial phase so components do not all fire at t=0.
+  co_await sim::delay(static_cast<u64>(rng.uniform(0.0, c.period_ns)));
+  while (sim::now() < until) {
+    const double gap =
+        c.poisson_arrivals
+            ? rng.exponential(c.period_ns)
+            : c.period_ns * rng.uniform(1.0 - c.period_jitter, 1.0 + c.period_jitter);
+    co_await sim::delay(static_cast<u64>(std::max(gap, 1.0)));
+    if (sim::now() >= until) break;
+    const double dur =
+        c.duration_sigma == 0.0
+            ? c.duration_median_ns
+            : rng.lognormal(std::log(c.duration_median_ns), c.duration_sigma);
+    co_await core->run_irq(static_cast<u64>(std::max(dur, 1.0)));
+  }
+}
+
+void spawn_reference_noise(sim::Engine& eng, Core& core, const NoiseProfile& profile,
+                           Rng& parent_rng, sim::TimePoint until = ~u64{0}) {
+  for (const auto& c : profile.components) {
+    eng.spawn(reference_noise_actor(&core, c, parent_rng.fork(), until));
+  }
+}
+
+/// Zero jitter and zero sigma: arrivals a driver can predict exactly.
+const NoiseComponent kMetronome{"metronome", static_cast<double>(30_us), 0.0,
+                                /*poisson=*/false, static_cast<double>(2_us), 0.0};
+
+/// Dense enough that noise, handlers and compute windows overlap all the
+/// time within a few simulated milliseconds.
+NoiseProfile dense_noise() {
+  return NoiseProfile{
+      "dense",
+      {
+          NoiseComponent{"tick", static_cast<double>(40_us), 0.1, false,
+                         static_cast<double>(3_us), 0.3},
+          NoiseComponent{"daemon", static_cast<double>(150_us), 0.0, true,
+                         static_cast<double>(20_us), 0.8},
+          NoiseComponent{"burst", static_cast<double>(3_ms), 0.0, true,
+                         static_cast<double>(400_us), 1.0},
+          kMetronome,
+      }};
+}
+
+struct EquivalenceRun {
+  std::vector<u64> compute_done;  ///< compute completion times, per driver
+  std::vector<u64> irq_done;      ///< protocol handler completion times
+  u64 stolen_a{0}, irq_a{0}, stolen_b{0}, irq_b{0};
+  u64 events{0};
+};
+
+/// One core with dense noise under random protocol handlers and two
+/// concurrent compute drivers, plus a metronome-only core whose every
+/// arrival coincides with a protocol handler and a compute start. The
+/// drivers reach a protocol handler's instant through a wake scheduled one
+/// nanosecond earlier, so the reference actor's arrival event at that
+/// instant always fires first — the lazy model's documented tie rule.
+EquivalenceRun run_equivalence(u64 seed, bool lazy) {
+  sim::Engine eng(seed);
+  Core a(0, 0);
+  Core b(1, 0);
+  const auto spawn = lazy ? &spawn_noise : &spawn_reference_noise;
+  Rng noise_a(seed * 31 + 1);
+  Rng noise_b(seed * 31 + 2);
+  spawn(eng, a, dense_noise(), noise_a, 20_ms);
+  Rng probe = noise_b;
+  const u64 phase = static_cast<u64>(probe.fork().uniform(0.0, kMetronome.period_ns));
+  spawn(eng, b, NoiseProfile{"metronome", {kMetronome}}, noise_b, ~u64{0});
+
+  EquivalenceRun out;
+  std::vector<u64> done[3];
+  constexpr sim::TimePoint kStop = 22_ms;
+  auto wake_at = [](sim::TimePoint t) -> sim::Task<void> {
+    co_await sim::delay_until(t - 1);
+    co_await sim::delay(1);
+  };
+  auto handler = [&](Core& c, sim::Duration d) -> sim::Task<void> {
+    co_await c.run_irq(d);
+    out.irq_done.push_back(sim::now());
+  };
+  auto timed_compute = [&](Core& c, sim::Duration work, std::vector<u64>* log) -> sim::Task<void> {
+    co_await c.compute(work);
+    log->push_back(sim::now());
+  };
+  auto compute_driver = [&](u64 dseed, std::vector<u64>* log) -> sim::Task<void> {
+    Rng r(dseed);
+    while (sim::now() < kStop) {
+      co_await sim::delay(r.uniform_u64(50_us));
+      const u64 work = r.uniform() < 0.1 ? 1_ms + r.uniform_u64(2_ms) : 1 + r.uniform_u64(200_us);
+      co_await timed_compute(a, work, log);
+    }
+  };
+  auto protocol_driver = [&](u64 dseed) -> sim::Task<void> {
+    Rng r(dseed);
+    while (sim::now() < kStop) {
+      co_await wake_at(sim::now() + 2 + r.uniform_u64(150_us));
+      const double kind = r.uniform();
+      if (kind < 0.2) {
+        // Back-to-back handlers issued at one instant queue FIFO.
+        const u64 n = 2 + r.uniform_u64(3);
+        for (u64 i = 0; i < n; ++i) eng.spawn(handler(a, 1 + r.uniform_u64(20_us)));
+      } else {
+        // Some handlers outlive whole compute windows.
+        const u64 d = kind < 0.35 ? 100_us + r.uniform_u64(500_us) : 1 + r.uniform_u64(30_us);
+        co_await handler(a, d);
+      }
+    }
+  };
+  // Core b's driver models b's FIFO (the metronome plus its own handlers)
+  // to aim every handler at a metronome arrival.
+  auto metronome_driver = [&](u64 dseed) -> sim::Task<void> {
+    Rng r(dseed);
+    const u64 period = static_cast<u64>(kMetronome.period_ns);
+    const u64 dur = static_cast<u64>(kMetronome.duration_median_ns);
+    u64 arrival = phase + period;
+    u64 free = 0;
+    while (sim::now() < kStop) {
+      while (arrival <= sim::now()) {  // queued behind the last handler
+        free = std::max(arrival, free) + dur;
+        arrival = free + period;
+      }
+      co_await wake_at(arrival);
+      free = std::max(arrival, free) + dur;  // the metronome goes first
+      arrival = free + period;
+      eng.spawn(timed_compute(b, 1 + r.uniform_u64(60_us), &done[2]));
+      const u64 d = 1 + r.uniform_u64(2 * period);
+      co_await handler(b, d);
+      free += d;
+      EXPECT_EQ(sim::now(), free) << "handler must queue behind the coinciding arrival";
+    }
+  };
+  eng.spawn(compute_driver(seed * 7 + 1, &done[0]));
+  eng.spawn(compute_driver(seed * 7 + 2, &done[1]));
+  eng.spawn(protocol_driver(seed * 7 + 3));
+  eng.spawn(metronome_driver(seed * 7 + 4));
+  eng.run_until(40_ms);
+  for (const auto& d : done) out.compute_done.insert(out.compute_done.end(), d.begin(), d.end());
+  out.stolen_a = a.stolen_ns();
+  out.irq_a = a.irq_events();
+  out.stolen_b = b.stolen_ns();
+  out.irq_b = b.irq_events();
+  out.events = eng.events_processed();
+  return out;
+}
+
+TEST(NoiseEquivalence, LazyStreamsMatchEventDrivenReference) {
+  for (u64 seed = 1; seed <= 40; ++seed) {
+    const EquivalenceRun lazy = run_equivalence(seed, /*lazy=*/true);
+    const EquivalenceRun ref = run_equivalence(seed, /*lazy=*/false);
+    ASSERT_GT(lazy.compute_done.size(), 100u);
+    EXPECT_EQ(lazy.compute_done, ref.compute_done) << "seed " << seed;
+    EXPECT_EQ(lazy.irq_done, ref.irq_done) << "seed " << seed;
+    EXPECT_EQ(lazy.stolen_a, ref.stolen_a) << "seed " << seed;
+    EXPECT_EQ(lazy.irq_a, ref.irq_a) << "seed " << seed;
+    EXPECT_EQ(lazy.stolen_b, ref.stolen_b) << "seed " << seed;
+    EXPECT_EQ(lazy.irq_b, ref.irq_b) << "seed " << seed;
+    EXPECT_LT(lazy.events, ref.events) << "noise must not cost engine events";
+  }
+}
+
+/// Phase a component draws from @p fork (a copy of its forked Rng).
+u64 phase_of(Rng fork, u64 period) {
+  return static_cast<u64>(fork.uniform(0.0, static_cast<double>(period)));
+}
+
+/// Completion times of back-to-back short computes on a core carrying
+/// @p profile, then the core's stolen_ns() and irq_events().
+std::vector<u64> run_short_computes(const NoiseProfile& profile, u64 seed, bool lazy) {
+  sim::Engine eng(seed);
+  Core core(0, 0);
+  Rng noise(seed);
+  const auto spawn = lazy ? &spawn_noise : &spawn_reference_noise;
+  spawn(eng, core, profile, noise, ~u64{0});
+  std::vector<u64> out;
+  auto driver = [&]() -> sim::Task<void> {
+    Rng r(seed);
+    while (sim::now() < 2_ms) {
+      co_await core.compute(1 + r.uniform_u64(3_us));
+      out.push_back(sim::now());
+    }
+  };
+  eng.run(driver());
+  out.push_back(core.stolen_ns());
+  out.push_back(core.irq_events());
+  return out;
+}
+
+TEST(NoiseEquivalence, SimultaneousArrivalsRunInGapDrawOrder) {
+  // Two zero-jitter, zero-sigma components whose first arrivals coincide,
+  // the lower-index one having drawn its gap later. The reference actors'
+  // arrival events run in the order they were scheduled, so the
+  // higher-index arrival goes first; the lazy streams must agree.
+  constexpr u64 kPeriodA = 40_us;
+  for (u64 seed = 1; seed < 200; ++seed) {
+    Rng probe(seed);
+    const Rng fork_a = probe.fork();
+    const Rng fork_b = probe.fork();
+    const u64 phase_a = phase_of(fork_a, kPeriodA);
+    const u64 arrival = phase_a + kPeriodA;
+    for (u64 period_b = arrival / 2; period_b <= arrival; ++period_b) {
+      const u64 phase_b = phase_of(fork_b, period_b);
+      if (phase_b + period_b != arrival || phase_b >= phase_a) continue;
+      const NoiseProfile tie{
+          "tie",
+          {NoiseComponent{"a", static_cast<double>(kPeriodA), 0.0, false,
+                          static_cast<double>(3_us), 0.0},
+           NoiseComponent{"b", static_cast<double>(period_b), 0.0, false,
+                          static_cast<double>(5_us), 0.0}}};
+      EXPECT_EQ(run_short_computes(tie, seed, /*lazy=*/true),
+                run_short_computes(tie, seed, /*lazy=*/false))
+          << "seed " << seed << ", tie at " << arrival << " ns";
+      return;
+    }
+  }
+  FAIL() << "no seed below 200 gives a tie";
 }
 
 // ---------------------------------------------------------------- Machine

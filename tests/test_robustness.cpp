@@ -136,6 +136,10 @@ TEST(Robustness, FullExperimentIsDeterministicPerSeed) {
   const u64 c = run_once(4243);
   EXPECT_EQ(a, b) << "identical seeds must reproduce to the nanosecond";
   EXPECT_NE(a, c) << "different seeds must differ (noise models active)";
+  // The end time the event-driven noise model (one actor and two engine
+  // events per occurrence) produced for this seed: a change that moves the
+  // noise model fails here, not only when it disagrees with itself.
+  EXPECT_EQ(a, 143'691'012u);
 }
 
 // Determinism must also hold under fault injection: the fault schedule is
