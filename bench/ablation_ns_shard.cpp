@@ -1,9 +1,8 @@
 // Ablation: sharded, quorum-replicated name service (DESIGN.md §6c).
 //
-// The PR-4 failover work left one centralized component standing: a
-// single name-server enclave serializing every registration and lookup
-// on its service core. This harness measures what sharding buys and what
-// replication costs:
+// A central registry is one name-server enclave serializing every
+// registration and lookup on its service core. This harness measures
+// what sharding buys and what replication costs:
 //
 //   - a registration/lookup/removal storm against the central registry
 //     (sharding off) and against 1/2/4 shards (R = 1), showing ops/sec

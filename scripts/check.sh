@@ -78,11 +78,6 @@ if [[ $asan_only -eq 0 ]]; then
     ./build/bench/ablation_attach_path --quick --json build/attach_path.json
   cp build/attach_path.json BENCH_attach_path.json
 
-  echo "== name-service failover crashpoint-sweep smoke =="
-  run_timed "ablation_ns_failover" \
-    ./build/bench/ablation_ns_failover --quick --json build/ns_failover.json
-  cp build/ns_failover.json BENCH_ns_failover.json
-
   echo "== sharded name-service churn-storm smoke =="
   run_timed "ablation_ns_shard" \
     ./build/bench/ablation_ns_shard --quick --json build/ns_shard.json
@@ -123,9 +118,6 @@ if [[ $fast -eq 0 ]]; then
 
   echo "== attach fast-path ablation smoke (asan) =="
   ./build-asan/bench/ablation_attach_path --quick --json build-asan/attach_path.json
-
-  echo "== name-service failover crashpoint-sweep smoke (asan) =="
-  ./build-asan/bench/ablation_ns_failover --quick --json build-asan/ns_failover.json
 
   echo "== sharded name-service churn-storm smoke (asan) =="
   ./build-asan/bench/ablation_ns_shard --quick --json build-asan/ns_shard.json

@@ -43,10 +43,9 @@ constexpr u64 kFieldDone = 24;
 u64 chunk_count(u64 bytes, u64 chunk) { return (bytes + chunk - 1) / chunk; }
 
 // Bootstrap-time protocol errors worth retrying within the bootstrap
-// deadline: transient routing loss, a name service mid-failover (promoted
-// standby still absorbing re-registrations), or a registry entry that has
-// not been replayed yet. Everything else (permission, argument, protocol
-// errors) is terminal.
+// deadline: transient routing loss, a registry shard mid-election, or a
+// registry entry the peer has not published yet. Everything else
+// (permission, argument, protocol errors) is terminal.
 bool bootstrap_retryable(Errc e) {
   switch (e) {
     case Errc::unreachable:

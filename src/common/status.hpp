@@ -28,8 +28,8 @@ enum class Errc {
   busy,               ///< removal while attachments outstanding
   unreachable,        ///< routing failed to find a path
   protocol_error,     ///< malformed cross-enclave message
-  no_name_server,     ///< name service terminally lost (no standby promoted)
-  stale_epoch,        ///< request carried an old name-service epoch; retry
+  no_name_server,     ///< central name server unreachable: discovery exhausted
+  stale_epoch,        ///< request carried an old shard epoch; retry
   retry_later,        ///< transient (e.g. registry rebuilding); retry
   not_primary,        ///< shard write sent to a follower; retry elsewhere
   no_quorum,          ///< terminal: shard lost its majority past the grace

@@ -259,9 +259,10 @@ sim::Task<void> coll_node_driver(Ctx& cx, u32 n) {
 /// (coordinated checkpoint windows across the cluster).
 ///
 /// Degradation: on the killed node the primary cache server crashes at
-/// the kill instant; a supervisor promotes the standby (srv1) through the
-/// name-service takeover path, in-flight client ops re-resolve the
-/// directory, and the node drains its epoch before leaving the job.
+/// the kill instant; a supervisor starts the standby (srv1), which
+/// re-exports the directory once lease GC frees the dead server's name;
+/// in-flight client ops re-resolve the directory, and the node drains its
+/// epoch before leaving the job.
 /// Survivors observe node_failed on the epoch barrier, rebuild, agree on
 /// the resume epoch and finish on the shrunken communicator.
 sim::Task<void> io_node_driver(Ctx& cx, u32 n) {
@@ -291,8 +292,9 @@ sim::Task<void> io_node_driver(Ctx& cx, u32 n) {
   clean = (co_await srv.start()).ok() && clean;
 
   // Victim node: the primary cache server dies with the fabric link. A
-  // supervisor watches for the crash and promotes the standby through
-  // the NS takeover path (same recovery protocol test_iocache sweeps).
+  // supervisor watches for the crash and starts the standby, which
+  // re-exports the directory under the same name after lease GC (the
+  // recovery protocol test_iocache sweeps).
   std::unique_ptr<iocache::CacheServer> takeover;
   bool supervisor_done = false;
   sim::Event supervisor_exit;

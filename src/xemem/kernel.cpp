@@ -18,8 +18,8 @@ namespace {
 // dedup ordering — only their uniqueness matters.
 std::atomic<u64> g_req_counter{1};
 
-// Response command correlated to a request command (for rejections built
-// before the request is dispatched, e.g. the stale-epoch guard).
+// Response command correlated to a request command (for rejections a shard
+// replica builds before dispatching the request, e.g. its epoch guard).
 Cmd response_cmd(Cmd c) {
   switch (c) {
     case Cmd::ping_ns: return Cmd::ping_ns_resp;
@@ -31,8 +31,6 @@ Cmd response_cmd(Cmd c) {
     case Cmd::get: return Cmd::get_resp;
     case Cmd::attach: return Cmd::attach_resp;
     case Cmd::detach: return Cmd::detach_resp;
-    case Cmd::ns_probe: return Cmd::ns_probe_resp;
-    case Cmd::reregister: return Cmd::reregister_resp;
     case Cmd::shard_replicate: return Cmd::shard_replicate_resp;
     case Cmd::shard_sync: return Cmd::shard_sync_resp;
     case Cmd::shard_vote: return Cmd::shard_vote_resp;
@@ -126,8 +124,9 @@ bool XememKernel::same_shard_op(const ShardOp& a, const ShardOp& b) {
 
 XememKernel::XememKernel(os::Enclave& os, bool is_name_server, KernelConfig cfg)
     : os_(os), is_ns_(is_name_server), cfg_(cfg) {
-  if (cfg_.request_timeout == 0) cfg_.request_timeout = kRequestTimeout;
-  if (cfg_.ping_timeout == 0) cfg_.ping_timeout = kPingTimeout;
+  const KernelConfig defaults;
+  if (cfg_.request_timeout == 0) cfg_.request_timeout = defaults.request_timeout;
+  if (cfg_.ping_timeout == 0) cfg_.ping_timeout = defaults.ping_timeout;
   if (cfg_.lease_duration > 0) {
     // A heartbeat period at or beyond the lease duration would let healthy
     // enclaves flap in and out of the registry: normalize the
@@ -143,16 +142,6 @@ XememKernel::XememKernel(os::Enclave& os, bool is_name_server, KernelConfig cfg)
       cfg_.heartbeat_period = std::max<sim::Duration>(cfg_.lease_duration / 3, 1);
     }
   }
-  if (cfg_.ns_probe_period == 0) {
-    cfg_.ns_probe_period =
-        cfg_.lease_duration > 0
-            ? std::max<sim::Duration>(cfg_.lease_duration / 3, 1)
-            : 10'000'000ull;  // 10 ms
-  }
-  if (cfg_.ns_recovery_grace == 0) {
-    cfg_.ns_recovery_grace =
-        std::max<sim::Duration>(cfg_.lease_duration, 2 * cfg_.request_timeout);
-  }
   // A forwarder entry must outlive every legitimate retry of its request.
   if (cfg_.fwd_ttl == 0) {
     cfg_.fwd_ttl = 2 * (cfg_.request_timeout + cfg_.backoff_max);
@@ -165,9 +154,15 @@ XememKernel::XememKernel(os::Enclave& os, bool is_name_server, KernelConfig cfg)
   }
   if (!cfg_.ns_shards.empty()) {
     if (cfg_.quorum_timeout == 0) cfg_.quorum_timeout = cfg_.request_timeout;
-    if (cfg_.partition_grace == 0) cfg_.partition_grace = cfg_.ns_recovery_grace;
+    if (cfg_.partition_grace == 0) {
+      cfg_.partition_grace =
+          std::max<sim::Duration>(cfg_.lease_duration, 2 * cfg_.request_timeout);
+    }
     if (cfg_.shard_probe_period == 0) {
-      cfg_.shard_probe_period = cfg_.ns_probe_period;
+      cfg_.shard_probe_period =
+          cfg_.lease_duration > 0
+              ? std::max<sim::Duration>(cfg_.lease_duration / 3, 1)
+              : 10'000'000ull;  // 10 ms
     }
     if (cfg_.shard_probe_misses == 0) cfg_.shard_probe_misses = 1;
     for (const auto& group : cfg_.ns_shards) {
@@ -211,18 +206,17 @@ void XememKernel::start() {
     // Engine::run_until_idle() unsuitable for the enclosing experiment.
     eng->spawn(is_ns_ ? lease_reaper() : heartbeat_actor());
   }
-  if (cfg_.ns_failover && !is_ns_) eng->spawn(standby_actor());
   if (sharding_enabled()) {
+    eng->spawn(service_loop(&self_channel_));
     eng->spawn(shard_bootstrap_actor());
     eng->spawn(hello_actor());
   }
 }
 
 void XememKernel::crash() {
-  // A name-server crash is a defined failure mode: with a standby
-  // configured the epoch machinery recovers (DESIGN.md §"Name-service
-  // failover"); without one, NS-bound requests fail with no_name_server
-  // once discovery exhausts its probe rounds.
+  // A name-server crash is a defined failure mode (DESIGN.md §6b):
+  // NS-bound requests fail with no_name_server once discovery exhausts its
+  // probe rounds. Only a sharded registry (§6c) outlives its host.
   if (crashed_) return;
   crashed_ = true;
   stopped_ = true;
@@ -251,8 +245,7 @@ void XememKernel::crash() {
   cap_maps_.clear();
   revoked_caps_.clear();
   revoked_handles_.clear();
-  // A dying name server takes its registry with it; survivors hold the
-  // durable truth (their own exports) and replay it to a promoted standby.
+  // A dying name server takes its registry with it.
   ns_segids_.clear();
   ns_names_.clear();
   ns_leases_.clear();
@@ -291,7 +284,6 @@ sim::Task<Result<void>> XememKernel::shutdown() {
   bye.dst = EnclaveId{0};
   bye.src = id();
   bye.req_id = g_req_counter++;
-  bye.epoch = ns_epoch_;
   ChannelEndpoint* via = route_for(bye.dst);
   if (via != nullptr) co_await via->send(std::move(bye));
   stopped_ = true;
@@ -312,15 +304,14 @@ sim::Task<void> XememKernel::discovery() {
   // probe on a dead link would only stall the sweep; the outer loop
   // already re-probes every channel with backoff). Sweeps are bounded by
   // discovery_max_rounds: a fully partitioned enclave (or one orphaned by
-  // a standby-less name-server death) must not retry into the void
-  // forever — it surfaces a terminal state instead, and a later
-  // ns_announce (failover) revives it.
+  // a name-server death) must not retry into the void forever — it
+  // surfaces a terminal state instead.
   if (discovering_) co_return;
   discovering_ = true;
   u32 rounds = 0;
-  while (!crashed_ && !stopped_ && !is_ns_) {
+  while (!crashed_ && !stopped_) {
     while (ns_channel_ == nullptr) {
-      if (crashed_ || stopped_ || is_ns_) {
+      if (crashed_ || stopped_) {
         discovering_ = false;
         co_return;
       }
@@ -386,230 +377,58 @@ sim::Task<void> XememKernel::discovery() {
 // enclave is never garbage-collected even when it is otherwise idle.
 sim::Task<void> XememKernel::heartbeat_actor() {
   co_await registered_.wait();
-  while (!stopped_ && !crashed_ && !is_ns_) {  // a promoted standby stops
+  while (!stopped_ && !crashed_) {
     Message hb;
     hb.cmd = Cmd::heartbeat;
     hb.dst = EnclaveId{0};
     hb.src = id();
     hb.req_id = g_req_counter++;
-    hb.epoch = ns_epoch_;
     ChannelEndpoint* via = route_for(hb.dst);
     if (via != nullptr) {
       ++stats_.heartbeats_sent;
       co_await via->send(std::move(hb));  // one-way
     }
     // Sharded registry: leases live on the shard replicas, so the renewal
-    // fans out to every replica of every shard (not just a primary —
-    // followers must not garbage-collect an idle owner after an election
-    // just because the renewal raced the epoch bump).
-    if (sharding_enabled() && cfg_.batched_heartbeats) {
-      // Batched renewal: one message per peer enclave per tick, carrying
-      // in the payload every additional shard that peer hosts a replica
-      // of. Ordered map: deterministic send order across runs.
-      std::map<u64, std::vector<u64>> by_peer;
-      for (u32 s = 0; s < cfg_.ns_shards.size(); ++s) {
-        for (u64 peer : cfg_.ns_shards[s]) {
-          if (peer == id().value()) {
-            // We host this replica ourselves: renew in place.
-            auto it = shard_replicas_.find(s);
-            if (it != shard_replicas_.end()) {
-              auto l = it->second->leases.find(id().value());
-              if (l != it->second->leases.end()) {
-                l->second = sim::now() + cfg_.lease_duration;
-              }
+    // reaches every replica of every shard (not just a primary — followers
+    // must not garbage-collect an idle owner after an election just
+    // because the renewal raced the epoch bump). One message per peer
+    // enclave per tick, listing in the payload every additional shard that
+    // peer hosts a replica of. Ordered map: deterministic send order.
+    std::map<u64, std::vector<u64>> by_peer;
+    for (u32 s = 0; s < cfg_.ns_shards.size(); ++s) {
+      for (u64 peer : cfg_.ns_shards[s]) {
+        if (peer == id().value()) {
+          // We host this replica ourselves: renew in place.
+          auto it = shard_replicas_.find(s);
+          if (it != shard_replicas_.end()) {
+            auto l = it->second->leases.find(id().value());
+            if (l != it->second->leases.end()) {
+              l->second = sim::now() + cfg_.lease_duration;
             }
-            continue;
           }
-          by_peer[peer].push_back(s);
+          continue;
         }
+        by_peer[peer].push_back(s);
       }
-      for (auto& [peer, shards] : by_peer) {
-        if (stopped_ || crashed_) break;
-        Message shb;
-        shb.cmd = Cmd::heartbeat;
-        shb.dst = EnclaveId{peer};
-        shb.src = id();
-        shb.req_id = g_req_counter++;
-        shb.epoch = ns_epoch_;
-        shb.shard = static_cast<u32>(shards.front());
-        shb.shard_epoch = shard_believed_epoch(static_cast<u32>(shards.front()));
-        shb.payload.assign(shards.begin() + 1, shards.end());
-        ChannelEndpoint* out = route_for(shb.dst);
-        if (out != nullptr) {
-          ++stats_.heartbeats_sent;
-          co_await out->send(std::move(shb));  // one-way
-        }
-      }
-    } else if (sharding_enabled()) {
-      for (u32 s = 0; s < cfg_.ns_shards.size(); ++s) {
-        if (stopped_ || crashed_) break;
-        for (u64 peer : cfg_.ns_shards[s]) {
-          if (peer == id().value()) {
-            // We host this replica ourselves: renew in place.
-            auto it = shard_replicas_.find(s);
-            if (it != shard_replicas_.end()) {
-              auto l = it->second->leases.find(id().value());
-              if (l != it->second->leases.end()) {
-                l->second = sim::now() + cfg_.lease_duration;
-              }
-            }
-            continue;
-          }
-          Message shb;
-          shb.cmd = Cmd::heartbeat;
-          shb.dst = EnclaveId{peer};
-          shb.src = id();
-          shb.req_id = g_req_counter++;
-          shb.epoch = ns_epoch_;
-          shb.shard = s;
-          shb.shard_epoch = shard_believed_epoch(s);
-          ChannelEndpoint* out = route_for(shb.dst);
-          if (out != nullptr) {
-            ++stats_.heartbeats_sent;
-            co_await out->send(std::move(shb));  // one-way
-          }
-        }
+    }
+    for (auto& [peer, shards] : by_peer) {
+      if (stopped_ || crashed_) break;
+      Message shb;
+      shb.cmd = Cmd::heartbeat;
+      shb.dst = EnclaveId{peer};
+      shb.src = id();
+      shb.req_id = g_req_counter++;
+      shb.shard = static_cast<u32>(shards.front());
+      shb.shard_epoch = shard_believed_epoch(static_cast<u32>(shards.front()));
+      shb.payload.assign(shards.begin() + 1, shards.end());
+      ChannelEndpoint* out = route_for(shb.dst);
+      if (out != nullptr) {
+        ++stats_.heartbeats_sent;
+        co_await out->send(std::move(shb));  // one-way
       }
     }
     co_await sim::delay(cfg_.heartbeat_period);
   }
-}
-
-// ------------------------------------------------- name-service failover
-
-// The designated standby probes the name server end-to-end (not just the
-// next hop: ping_ns is answered by neighbors, so only a routed
-// request/response proves the NS itself is alive). A run of unanswered
-// probes is the promotion trigger.
-sim::Task<void> XememKernel::standby_actor() {
-  co_await registered_.wait();
-  if (!id().valid() || id().value() != standby_id()) co_return;
-  u32 misses = 0;
-  for (;;) {
-    co_await sim::delay(cfg_.ns_probe_period);
-    if (stopped_ || crashed_ || is_ns_) co_return;
-    Message probe;
-    probe.cmd = Cmd::ns_probe;
-    probe.dst = EnclaveId{0};
-    auto resp = co_await request(std::move(probe), nullptr, cfg_.ping_timeout,
-                                 /*max_retries=*/0);
-    if (stopped_ || crashed_ || is_ns_) co_return;
-    if (resp.ok() && resp.value().status == Errc::ok) {
-      misses = 0;
-      continue;
-    }
-    if (++misses >= cfg_.ns_probe_misses) {
-      promote();
-      co_return;
-    }
-  }
-}
-
-void XememKernel::promote() {
-  if (is_ns_ || crashed_ || stopped_) return;
-  is_ns_ = true;
-  ++ns_epoch_;
-  ++stats_.ns_failovers;
-  promote_time_ = sim::now();
-  ns_recovery_until_ = sim::now() + cfg_.ns_recovery_grace;
-  ns_channel_ = nullptr;  // the NS direction is now "here"
-  ns_lost_ = false;
-  rereg_epoch_ = ns_epoch_;
-  // Segid allocation restarts at 1 under the new epoch prefix — a reborn
-  // name server can never re-issue a segid live from a prior epoch.
-  next_segid_ = 1;
-  // Never re-issue a live enclave id either: resume above the high-water
-  // mark observed in traffic (survivors also push it up as they
-  // re-register).
-  next_enclave_id_ = std::max(
-      next_enclave_id_, std::max(max_seen_enclave_, id().value()) + 1);
-  // Rebuild the registry from the durable source of truth: owners. Start
-  // with this enclave's own exports; survivors replay theirs in the
-  // re-registration round.
-  ns_segids_.clear();
-  ns_names_.clear();
-  ns_leases_.clear();
-  for (const auto& [sid, rec] : exports_) {
-    ns_segids_[sid] = NsSegidRecord{id(), rec.pages * kPageSize, rec.name};
-    if (!rec.name.empty()) ns_names_[rec.name] = Segid{sid};
-  }
-  auto* eng = sim::Engine::current();
-  eng->spawn(announce_epoch());
-  if (cfg_.lease_duration > 0) eng->spawn(lease_reaper());
-  XLOG_WARN("xemem", "%s: promoted to name server, epoch %llu",
-            os_.name().c_str(), static_cast<unsigned long long>(ns_epoch_));
-}
-
-sim::Task<void> XememKernel::announce_epoch() {
-  // Snapshot: channels_ may grow (dynamic repartitioning adds links) while
-  // this coroutine is suspended in send(), invalidating iterators.
-  const std::vector<ChannelEndpoint*> eps = channels_;
-  for (auto* ep : eps) {
-    Message ann;
-    ann.cmd = Cmd::ns_announce;
-    ann.src = id();
-    ann.req_id = g_req_counter++;
-    ann.epoch = ns_epoch_;
-    co_await ep->send(std::move(ann));
-  }
-}
-
-// Replay this enclave's locally-owned exports to the newly promoted name
-// server so the registry converges to the pre-crash truth. Runs once per
-// adopted epoch; request() retries carry it through a lossy channel.
-sim::Task<void> XememKernel::reregister_actor() {
-  const u64 target_epoch = ns_epoch_;
-  while (ns_channel_ == nullptr) {
-    if (crashed_ || stopped_ || is_ns_ || ns_epoch_ != target_epoch) co_return;
-    co_await sim::delay(200'000);
-  }
-  if (crashed_ || stopped_ || is_ns_ || ns_epoch_ != target_epoch) co_return;
-  Message req;
-  req.cmd = Cmd::reregister;
-  req.dst = EnclaveId{0};
-  for (const auto& [sid, rec] : exports_) {
-    req.payload.push_back(sid);
-    req.payload.push_back(rec.pages * kPageSize);
-    if (!req.name.empty() || req.payload.size() > 2) req.name += '\n';
-    req.name += rec.name;
-  }
-  (void)co_await request(std::move(req));
-}
-
-bool XememKernel::maybe_adopt_epoch(const Message& msg, ChannelEndpoint* from) {
-  if (msg.epoch <= ns_epoch_) return false;
-  if (is_ns_) {
-    // Competing name servers (a spurious promotion while the original
-    // lived) are out of scope: log and stand pat — the higher epoch owns
-    // the survivors regardless, since they adopt it from its traffic.
-    XLOG_WARN("xemem", "%s: name server saw newer epoch %llu (own %llu)",
-              os_.name().c_str(), static_cast<unsigned long long>(msg.epoch),
-              static_cast<unsigned long long>(ns_epoch_));
-    return false;
-  }
-  ns_epoch_ = msg.epoch;
-  ns_lost_ = false;
-  // An announce (or any message from the name server itself) arrives from
-  // the NS direction; anything else only proves the epoch moved, so the
-  // direction must be re-discovered.
-  if (msg.cmd == Cmd::ns_announce || msg.src == EnclaveId{0}) {
-    ns_channel_ = from;
-  } else {
-    ns_channel_ = nullptr;
-  }
-  auto* eng = sim::Engine::current();
-  if (id().valid()) {
-    if (rereg_epoch_ < ns_epoch_) {
-      rereg_epoch_ = ns_epoch_;
-      eng->spawn(reregister_actor());
-    }
-  } else {
-    // Never managed to register (e.g. the old NS died mid-registration):
-    // the new name server is a fresh chance.
-    eng->spawn(discovery());
-  }
-  if (ns_channel_ == nullptr) eng->spawn(discovery());
-  return true;
 }
 
 // Name-server sweep: expire leases even when no traffic arrives (the lazy
@@ -668,6 +487,9 @@ sim::Task<void> XememKernel::service_loop(ChannelEndpoint* ep) {
 ChannelEndpoint* XememKernel::route_for(EnclaveId dst) {
   auto it = enclave_map_.find(dst.value());
   if (it != enclave_map_.end()) return it->second;
+  // A replica host addressing its own replica: deliver in place rather
+  // than bouncing off the hub, which may be dead (DESIGN.md §6c).
+  if (sharding_enabled() && dst.valid() && dst == id()) return &self_channel_;
   return ns_channel_;  // default route: toward the name server
 }
 
@@ -719,9 +541,9 @@ sim::Task<Result<Message>> XememKernel::request(Message msg, ChannelEndpoint* vi
     ChannelEndpoint* via = via_in != nullptr ? via_in : route_for(msg.dst);
     if (via == nullptr) {
       // NS-bound traffic with the name service terminally lost (discovery
-      // exhausted, no standby promoted) fails with the dedicated status so
-      // callers can distinguish "no name server anywhere" from a transient
-      // routing failure.
+      // exhausted) fails with the dedicated status so callers can
+      // distinguish "no name server anywhere" from a transient routing
+      // failure.
       co_return (msg.dst == EnclaveId{0} && ns_lost_) ? Errc::no_name_server
                                                       : Errc::unreachable;
     }
@@ -730,15 +552,15 @@ sim::Task<Result<Message>> XememKernel::request(Message msg, ChannelEndpoint* vi
     pending_resp_[rid] = &mb;
     sim::Engine::current()->spawn(timeout_actor(this, rid, timeout));
     Message copy = msg;  // keep the original for retransmission
-    copy.epoch = ns_epoch_;  // re-stamp: an epoch may be adopted mid-retry
     co_await via->send(std::move(copy));
     Message resp = co_await mb.recv();
     pending_resp_.erase(rid);
     if (!(resp.status == Errc::unreachable && resp.cmd == Cmd::ping_ns)) {
       // A real response (the sentinel has a default-constructed cmd).
-      // Retryable rejections — the epoch moved under us, or the new name
-      // server is still rebuilding its registry — are retried under the
-      // same req_id with the usual backoff; everything else returns.
+      // Retryable shard rejections — the shard epoch moved under us, the
+      // replica is inside its partition grace, or we hit a follower — are
+      // retried under the same req_id with the usual backoff; everything
+      // else returns.
       const bool retryable = !crashed_ && (resp.status == Errc::stale_epoch ||
                                            resp.status == Errc::retry_later ||
                                            resp.status == Errc::not_primary);
@@ -783,7 +605,7 @@ sim::Task<Result<Message>> XememKernel::request(Message msg, ChannelEndpoint* vi
       // If the silent link was our path toward the name server, forget it
       // and re-run discovery over the remaining channels (the enclave ID
       // is retained; only the route is re-learned).
-      if (!is_ns_ && via == ns_channel_) {
+      if (via == ns_channel_) {
         ns_channel_ = nullptr;
         for (auto it = enclave_map_.begin(); it != enclave_map_.end();) {
           it = it->second == via ? enclave_map_.erase(it) : std::next(it);
@@ -804,12 +626,7 @@ sim::Task<Result<Message>> XememKernel::request_to_owner(Message msg) {
     // We *are* the name server: resolve the owner locally instead of
     // sending to ourselves.
     auto it = ns_segids_.find(msg.segid.value());
-    if (it == ns_segids_.end()) {
-      // During the post-promotion grace window the registry may simply not
-      // have heard the owner's re-registration yet: tell the caller to
-      // retry rather than condemning a segid that is about to reappear.
-      co_return in_recovery_grace() ? Errc::retry_later : Errc::no_such_segid;
-    }
+    if (it == ns_segids_.end()) co_return Errc::no_such_segid;
     co_await os_.service_core()->run_irq(costs::kNameServerOp);
     msg.dst = it->second.owner;
     XEMEM_ASSERT_MSG(msg.dst != id(),
@@ -882,31 +699,7 @@ sim::Task<void> XememKernel::forward(Message msg, ChannelEndpoint* from) {
 sim::Task<void> XememKernel::handle(Message msg, ChannelEndpoint* from) {
   if (crashed_) co_return;  // a dead enclave hears nothing
   prune_pending_fwd();
-
-  // Track the highest enclave id seen in any traffic: a promoted standby
-  // resumes id allocation above this high-water mark.
-  if (msg.src.valid()) {
-    max_seen_enclave_ = std::max(max_seen_enclave_, msg.src.value());
-  }
-
-  // Epoch adoption: any message carrying a newer name-service epoch moves
-  // this node forward (and triggers re-registration / re-discovery).
-  const bool adopted = maybe_adopt_epoch(msg, from);
   maybe_adopt_shard_epoch(msg);
-  if (msg.cmd == Cmd::ns_announce) {
-    // Flood: re-announce on every other link, but only on first adoption —
-    // peer links can form cycles, and the strictly-newer check is what
-    // terminates the flood.
-    if (adopted) {
-      const std::vector<ChannelEndpoint*> eps = channels_;  // send() suspends
-      for (auto* ep : eps) {
-        if (ep == from) continue;
-        Message ann = msg;
-        co_await ep->send(std::move(ann));
-      }
-    }
-    co_return;
-  }
   if (msg.cmd == Cmd::hello) {
     // A directly linked peer announced itself: learn the route so traffic
     // to it (shard commands, replication) skips the management-hub detour.
@@ -951,7 +744,6 @@ sim::Task<void> XememKernel::handle(Message msg, ChannelEndpoint* from) {
     resp.cmd = Cmd::ping_ns_resp;
     resp.req_id = msg.req_id;
     resp.src = id();
-    resp.epoch = ns_epoch_;
     resp.status = (is_ns_ || ns_channel_ != nullptr) ? Errc::ok : Errc::unreachable;
     co_await from->send(std::move(resp));
     co_return;
@@ -1137,25 +929,6 @@ sim::Task<void> XememKernel::ns_handle(Message msg, ChannelEndpoint* from) {
   }
   co_await os_.service_core()->run_irq(costs::kNameServerOp);
 
-  // Epoch guard: a request stamped with an older name-service epoch comes
-  // from a node that has not yet heard of this promotion. Reject it with a
-  // retryable status carrying the current epoch — the sender adopts it,
-  // re-resolves its NS direction if needed, and retries under the same
-  // req_id. Never cached in the dedup table: the retry must re-execute.
-  if (msg.epoch < ns_epoch_) {
-    ++stats_.epoch_rejects;
-    if (msg.is_one_way()) co_return;
-    Message rej;
-    rej.cmd = response_cmd(msg.cmd);
-    rej.req_id = msg.req_id;
-    rej.src = EnclaveId{0};
-    rej.dst = msg.src;
-    rej.status = Errc::stale_epoch;
-    rej.epoch = ns_epoch_;
-    co_await from->send(std::move(rej));
-    co_return;
-  }
-
   // Liveness bookkeeping: sweep expired leases lazily on every command
   // (so a retry against a dead owner's segid fails fast with
   // no_such_segid even between reaper ticks), then renew the sender's.
@@ -1176,48 +949,11 @@ sim::Task<void> XememKernel::ns_handle(Message msg, ChannelEndpoint* from) {
   resp.req_id = msg.req_id;
   resp.src = EnclaveId{0};
   resp.dst = msg.src;
-  resp.epoch = ns_epoch_;
   resp.status = Errc::ok;
 
   switch (msg.cmd) {
     case Cmd::heartbeat:
       co_return;  // one-way; the renewal above is the whole effect
-    case Cmd::ns_probe: {
-      // End-to-end liveness probe from the standby. Never dedup-cached:
-      // each probe must reflect the current moment.
-      resp.cmd = Cmd::ns_probe_resp;
-      co_await from->send(std::move(resp));
-      co_return;
-    }
-    case Cmd::reregister: {
-      // A survivor replays its locally-owned exports after a promotion:
-      // reinstall its route, lease, and registry entries. Idempotent by
-      // construction (map inserts), so a retried replay is harmless.
-      enclave_map_[msg.src.value()] = from;
-      if (cfg_.lease_duration > 0) {
-        ns_leases_[msg.src.value()] = sim::now() + cfg_.lease_duration;
-      }
-      next_enclave_id_ = std::max(next_enclave_id_, msg.src.value() + 1);
-      size_t pos = 0;
-      const u64 n = msg.payload.size() / 2;
-      for (u64 i = 0; i < n; ++i) {
-        const u64 sid = msg.payload[2 * i];
-        const u64 size = msg.payload[2 * i + 1];
-        const size_t next = msg.name.find('\n', pos);
-        std::string nm = msg.name.substr(pos, next - pos);
-        pos = next == std::string::npos ? msg.name.size() : next + 1;
-        ns_segids_[sid] = NsSegidRecord{msg.src, size, nm};
-        if (!nm.empty()) ns_names_[nm] = Segid{sid};
-      }
-      ++stats_.reregistrations;
-      if (promote_time_ != 0) {
-        stats_.recovery_latency = sim::now() - promote_time_;
-      }
-      resp.cmd = Cmd::reregister_resp;
-      dedup_store(msg.req_id, resp);
-      co_await from->send(std::move(resp));
-      co_return;
-    }
     case Cmd::enclave_shutdown: {
       enclave_map_.erase(msg.src.value());
       ns_leases_.erase(msg.src.value());
@@ -1252,7 +988,7 @@ sim::Task<void> XememKernel::ns_handle(Message msg, ChannelEndpoint* from) {
         co_await from->send(std::move(resp));
         co_return;
       }
-      const Segid sid{make_segid_value(ns_epoch_, next_segid_++)};
+      const Segid sid{make_segid_value(1, next_segid_++)};
       ns_segids_[sid.value()] = NsSegidRecord{msg.src, msg.size, msg.name};
       if (!msg.name.empty()) ns_names_[msg.name] = sid;
       resp.cmd = Cmd::segid_alloc_resp;
@@ -1265,15 +1001,7 @@ sim::Task<void> XememKernel::ns_handle(Message msg, ChannelEndpoint* from) {
       auto it = ns_segids_.find(msg.segid.value());
       resp.cmd = Cmd::segid_remove_resp;
       if (it == ns_segids_.end()) {
-        // Misses inside the post-promotion grace window are answered with
-        // retry_later (and never dedup-cached): the entry may simply not
-        // have been replayed yet.
-        resp.status = in_recovery_grace() ? Errc::retry_later
-                                          : Errc::no_such_segid;
-        if (resp.status == Errc::retry_later) {
-          co_await from->send(std::move(resp));
-          co_return;
-        }
+        resp.status = Errc::no_such_segid;
       } else {
         if (!it->second.name.empty()) ns_names_.erase(it->second.name);
         ns_segids_.erase(it);
@@ -1286,8 +1014,7 @@ sim::Task<void> XememKernel::ns_handle(Message msg, ChannelEndpoint* from) {
       resp.cmd = Cmd::name_lookup_resp;
       auto it = ns_names_.find(msg.name);
       if (it == ns_names_.end()) {
-        resp.status = in_recovery_grace() ? Errc::retry_later
-                                          : Errc::no_such_segid;
+        resp.status = Errc::no_such_segid;
       } else {
         resp.segid = it->second;
         resp.size = ns_segids_[it->second.value()].size;
@@ -1322,17 +1049,14 @@ sim::Task<void> XememKernel::ns_handle(Message msg, ChannelEndpoint* from) {
         err.req_id = msg.req_id;
         err.src = EnclaveId{0};
         err.dst = msg.src;
-        err.epoch = ns_epoch_;
-        err.status = in_recovery_grace() ? Errc::retry_later
-                                         : Errc::no_such_segid;
-        if (err.status != Errc::retry_later) dedup_store(msg.req_id, err);
+        err.status = Errc::no_such_segid;
+        dedup_store(msg.req_id, err);
         co_await from->send(std::move(err));
         co_return;
       }
       const EnclaveId owner = it->second.owner;
       if (owner == id()) {
-        // This name server's own enclave owns the segid (the boot NS has
-        // id 0; a promoted standby keeps its own id): serve directly.
+        // This name server's own enclave owns the segid: serve directly.
         if (cap_crashpoint(msg)) co_return;
         Message resp2;
         switch (msg.cmd) {
@@ -1376,7 +1100,6 @@ sim::Task<Message> XememKernel::serve_get(const Message& msg) {
   resp.req_id = msg.req_id;
   resp.src = id();
   resp.dst = msg.src;
-  resp.epoch = ns_epoch_;
   auto it = exports_.find(msg.segid.value());
   if (it == exports_.end() || it->second.removing) {
     resp.status = Errc::no_such_segid;
@@ -1415,7 +1138,6 @@ sim::Task<Message> XememKernel::serve_attach(const Message& msg) {
   resp.req_id = msg.req_id;
   resp.src = id();
   resp.dst = msg.src;
-  resp.epoch = ns_epoch_;
 
   auto it = exports_.find(msg.segid.value());
   if (it == exports_.end() || it->second.removing) {
@@ -1507,7 +1229,6 @@ sim::Task<Message> XememKernel::serve_detach(const Message& msg) {
   resp.req_id = msg.req_id;
   resp.src = id();
   resp.dst = msg.src;
-  resp.epoch = ns_epoch_;
 
   auto pin = pins_.find(msg.offset);  // offset carries the owner handle
   if (pin == pins_.end() || pin->second.segid != msg.segid) {
@@ -1853,7 +1574,6 @@ sim::Task<Message> XememKernel::serve_cap_derive(const Message& msg) {
   resp.req_id = msg.req_id;
   resp.src = id();
   resp.dst = msg.src;
-  resp.epoch = ns_epoch_;
   if (!cfg_.capabilities || msg.payload.size() < 6) {
     resp.status = Errc::invalid_argument;
     co_return resp;
@@ -1881,7 +1601,6 @@ sim::Task<Message> XememKernel::serve_cap_revoke(const Message& msg) {
   resp.req_id = msg.req_id;
   resp.src = id();
   resp.dst = msg.src;
-  resp.epoch = ns_epoch_;
   if (!cfg_.capabilities) {
     resp.status = Errc::invalid_argument;
     co_return resp;
@@ -1974,7 +1693,6 @@ sim::Task<Message> XememKernel::serve_cap_revoke(const Message& msg) {
     note.src = id();
     note.dst = EnclaveId{enclave};
     note.req_id = g_req_counter++;
-    note.epoch = ns_epoch_;
     note.segid = msg.segid;
     note.cap = msg.cap;
     note.size = dead_caps.size();  // payload = [caps...] ++ [handles...]
@@ -2108,7 +1826,7 @@ sim::Task<Result<Segid>> XememKernel::xpmem_make(os::Process& owner, Vaddr va,
     if (!name.empty()) {
       if (ns_names_.contains(name)) co_return Errc::already_exists;
     }
-    sid = Segid{make_segid_value(ns_epoch_, next_segid_++)};
+    sid = Segid{make_segid_value(1, next_segid_++)};
     ns_segids_[sid.value()] = NsSegidRecord{id(), size, name};
     if (!name.empty()) ns_names_[name] = sid;
   } else {
@@ -2273,7 +1991,6 @@ sim::Task<Result<void>> XememKernel::xpmem_release(const XpmemGrant& grant) {
   req.segid = grant.segid;
   req.src = id();
   req.req_id = g_req_counter++;
-  req.epoch = ns_epoch_;
   if (is_ns_ && !sharding_enabled()) {
     auto ns = ns_segids_.find(grant.segid.value());
     if (ns == ns_segids_.end()) co_return Errc::no_such_segid;
@@ -2649,7 +2366,6 @@ sim::Task<void> XememKernel::hello_actor() {
     m.cmd = Cmd::hello;
     m.src = id();
     m.req_id = g_req_counter++;
-    m.epoch = ns_epoch_;
     co_await ep->send(std::move(m));
   }
 }
@@ -2666,7 +2382,6 @@ sim::Task<void> XememKernel::shard_handle(Message msg, ChannelEndpoint* from) {
     rej.req_id = msg.req_id;
     rej.src = id();
     rej.dst = msg.src;
-    rej.epoch = ns_epoch_;
     rej.shard = msg.shard;
     rej.shard_epoch = shard_believed_epoch(msg.shard);
     rej.status = Errc::retry_later;
@@ -2697,7 +2412,6 @@ sim::Task<void> XememKernel::shard_handle(Message msg, ChannelEndpoint* from) {
   resp.req_id = msg.req_id;
   resp.src = id();
   resp.dst = msg.src;
-  resp.epoch = ns_epoch_;
   resp.shard = msg.shard;
   resp.shard_epoch = rep->epoch;
   resp.status = Errc::ok;
@@ -2821,9 +2535,8 @@ sim::Task<void> XememKernel::shard_handle(Message msg, ChannelEndpoint* from) {
         if (l != r->leases.end()) l->second = sim::now() + cfg_.lease_duration;
       };
       renew(rep);
-      // Batched renewal (sender has batched_heartbeats on): the payload
-      // lists every additional shard we host whose renewal the sender
-      // coalesced into this one message.
+      // The payload lists every additional shard we host whose renewal
+      // the sender coalesced into this one message.
       for (u64 s : msg.payload) {
         auto extra = shard_replicas_.find(static_cast<u32>(s));
         if (extra != shard_replicas_.end()) renew(extra->second.get());
@@ -3322,7 +3035,6 @@ sim::Task<void> XememKernel::shard_announce_actor(u32 shard, u64 epoch) {
     ann.src = id();
     ann.dst = EnclaveId{peer};
     ann.req_id = g_req_counter++;
-    ann.epoch = ns_epoch_;
     ann.shard = shard;
     ann.shard_epoch = epoch;
     ChannelEndpoint* via = route_for(ann.dst);

@@ -100,37 +100,13 @@ struct KernelConfig {
     return *this;
   }
 
-  // ----- Name-service failover (opt-in, like the lease machinery; see
-  // DESIGN.md §"Name-service failover" and bench/ablation_ns_failover).
-
-  /// Let a designated standby detect name-server death, promote itself,
-  /// bump the name-service epoch, and rebuild the registry from surviving
-  /// owners' re-registrations.
-  bool ns_failover{false};
-  /// Enclave id of the standby (0 = the default: the lowest allocated
-  /// enclave id, i.e. enclave 1 — the first survivor to register).
-  u64 ns_standby{0};
-  /// Standby's end-to-end NS liveness probe cadence (0 defaults to
-  /// lease_duration / 3, or 10 ms when leases are off).
-  sim::Duration ns_probe_period{0};
-  /// Consecutive unanswered probes before the standby promotes itself.
-  u32 ns_probe_misses{3};
-  /// After promotion, registry misses answer Errc::retry_later (instead of
-  /// no_such_segid) for this long, covering the re-registration round
-  /// (0 defaults to max(lease_duration, 2 * request_timeout)).
-  sim::Duration ns_recovery_grace{0};
   /// Discovery gives up after this many full probe sweeps with no path to
   /// a name server and surfaces Errc::no_name_server to callers (0 =
-  /// probe forever, the historical behavior).
+  /// probe forever, the historical behavior; DESIGN.md §6b).
   u32 discovery_max_rounds{512};
 
-  /// Convenience: turn on name-server failover.
-  KernelConfig& enable_ns_failover() {
-    ns_failover = true;
-    return *this;
-  }
-
   // ----- Sharded, quorum-replicated name service (opt-in; DESIGN.md §6c).
+  // The only way the registry outlives the enclave serving it.
 
   /// Replica groups, one per registry shard: ns_shards[s] lists the
   /// enclave ids hosting shard s; ns_shards[s][0] is the boot primary
@@ -139,7 +115,8 @@ struct KernelConfig {
   /// enclave-id allocation, and routing duties). Empty = classic
   /// single-registry behavior.
   std::vector<std::vector<u64>> ns_shards;
-  /// Follower -> primary liveness probe cadence (0 -> ns_probe_period).
+  /// Follower -> primary liveness probe cadence (0 -> lease_duration / 3,
+  /// or 10 ms when leases are off).
   sim::Duration shard_probe_period{0};
   /// Consecutive unanswered probes before a follower calls a vote.
   u32 shard_probe_misses{3};
@@ -148,27 +125,12 @@ struct KernelConfig {
   sim::Duration quorum_timeout{0};
   /// After losing quorum (or primary contact), replicas answer
   /// Errc::retry_later for this long, then terminal Errc::no_quorum
-  /// (0 -> ns_recovery_grace).
+  /// (0 -> max(lease_duration, 2 * request_timeout)).
   sim::Duration partition_grace{0};
 
   /// Convenience: shard the registry across @p groups replica groups.
   KernelConfig& enable_ns_sharding(std::vector<std::vector<u64>> groups) {
     ns_shards = std::move(groups);
-    return *this;
-  }
-
-  /// Coalesce lease renewals: instead of one heartbeat message per
-  /// (shard, replica) pair per tick, send each peer enclave a single
-  /// message per tick listing every shard it hosts a replica of (the
-  /// name server keeps its one per-tick message either way). First step
-  /// of the ROADMAP "registry write batching" item: segment-heavy
-  /// workloads (the I/O cache's per-block exports) otherwise pay
-  /// shards x replicas renewal messages per enclave per tick.
-  bool batched_heartbeats{false};
-
-  /// Convenience: turn on heartbeat batching.
-  KernelConfig& enable_heartbeat_batching() {
-    batched_heartbeats = true;
     return *this;
   }
 
@@ -350,14 +312,11 @@ class XememKernel {
   bool knows_owner(Segid s) const { return owner_cache_.contains(s.value()); }
   u64 walk_cache_entries() const { return walk_cache_.size(); }
   u64 attach_cache_entries() const { return attach_cache_.size(); }
-  /// Name-service epoch this kernel currently believes in (starts at 1;
-  /// each name-server promotion bumps it system-wide).
-  u64 ns_epoch() const { return ns_epoch_; }
   /// Discovery terminally exhausted every probe round without finding a
   /// name server; NS-bound requests now fail fast with no_name_server.
   bool ns_lost() const { return ns_lost_; }
   /// Registration gave up: the enclave never obtained an id (fully
-  /// partitioned, or the name server died standby-less mid-registration).
+  /// partitioned, or the name server died mid-registration).
   bool registration_failed() const { return ns_lost_ && !id().valid(); }
 
   /// Deterministic crashpoint hook: crash() this (name-server) kernel
@@ -423,13 +382,6 @@ class XememKernel {
 
   const KernelConfig& config() const { return cfg_; }
 
-  /// Default request timeout: generous against the microsecond-scale
-  /// protocol, but keeps callers from wedging on a dead enclave.
-  static constexpr sim::Duration kRequestTimeout = 10'000'000'000ull;  // 10 s
-  /// Discovery probes use a short timeout so one dead neighbor cannot
-  /// stall registration when another channel leads to the name server.
-  static constexpr sim::Duration kPingTimeout = 5'000'000ull;  // 5 ms
-
   /// Introspection counters (the /proc/xemem-style view a real module
   /// would expose). Monotonic over the kernel's lifetime.
   struct Stats {
@@ -450,10 +402,7 @@ class XememKernel {
     u64 reuse_hits{0};       ///< attaches satisfied from already-held frames
     u64 extents_shipped{0};  ///< extent records sent in attach responses
     u64 wire_bytes_saved{0}; ///< flat-PFN bytes avoided by extent encoding
-    u64 ns_failovers{0};     ///< promotions of this kernel to name server
-    u64 epoch_rejects{0};    ///< stale-epoch commands rejected as name server
-    u64 reregistrations{0};  ///< survivor re-registration rounds absorbed
-    u64 recovery_latency{0}; ///< ns: promotion -> latest re-registration
+    u64 epoch_rejects{0};    ///< stale-epoch commands rejected as a replica
     u64 dedup_evictions{0};  ///< dedup-cache entries evicted (cap or TTL)
     u64 shard_requests{0};   ///< commands processed as a shard replica
     u64 quorum_writes{0};    ///< shard writes committed with majority acks
@@ -526,7 +475,7 @@ class XememKernel {
   /// One entry of a shard's replicated op log. The log is the durable
   /// truth: every replica's registry view is a pure replay of its log
   /// prefix, so follower catch-up and post-election adoption are log
-  /// copies, not survivor re-registration rounds.
+  /// copies.
   struct ShardOp {
     enum class Kind : u8 { alloc = 1, remove = 2, lease_gc = 3 };
     Kind kind{Kind::alloc};
@@ -581,22 +530,6 @@ class XememKernel {
   sim::Task<void> heartbeat_actor();
   sim::Task<void> lease_reaper();
 
-  // ----- Name-service failover (DESIGN.md §"Name-service failover").
-  /// The configured standby's enclave id.
-  u64 standby_id() const { return cfg_.ns_standby != 0 ? cfg_.ns_standby : 1; }
-  /// Standby-side liveness probing; promotes on ns_probe_misses misses.
-  sim::Task<void> standby_actor();
-  /// Take over the name-server role: bump the epoch, rebuild the registry
-  /// from local exports, and flood the announcement.
-  void promote();
-  sim::Task<void> announce_epoch();
-  /// Replay this enclave's exports to the newly promoted name server.
-  sim::Task<void> reregister_actor();
-  /// Adopt a newer epoch seen on @p msg (update NS direction, trigger
-  /// re-registration/discovery). Returns true when the epoch advanced.
-  bool maybe_adopt_epoch(const Message& msg, ChannelEndpoint* from);
-  bool in_recovery_grace() const { return sim::now() < ns_recovery_until_; }
-
   /// Send a request and await its correlated response, retrying with
   /// exponential backoff on timeout (@p max_retries overrides the config;
   /// -1 = use config, 0 = single attempt). Retries reuse the req_id so
@@ -618,6 +551,9 @@ class XememKernel {
   /// just addresses the name server; on the name-server enclave itself it
   /// resolves the owner locally and routes directly.
   sim::Task<Result<Message>> request_to_owner(Message msg);
+  /// Next hop toward @p dst: a learned route, else the default route
+  /// toward the name server. A sharded kernel's own id maps to
+  /// self_channel_, so a replica host serves its own shard requests.
   ChannelEndpoint* route_for(EnclaveId dst);
 
   u64 fresh_req_id() { return (id().value() << 32) | next_req_++; }
@@ -743,7 +679,7 @@ class XememKernel {
   void drop_walk_cache(Segid segid);
 
   os::Enclave& os_;
-  bool is_ns_;
+  const bool is_ns_;
   KernelConfig cfg_;
   bool started_{false};
   bool stopped_{false};
@@ -752,6 +688,7 @@ class XememKernel {
 
   std::vector<ChannelEndpoint*> channels_;
   ChannelEndpoint* ns_channel_{nullptr};  // next hop toward the name server
+  LoopbackEndpoint self_channel_;  // sharded only: requests to our own replicas
   std::unordered_map<u64, ChannelEndpoint*> enclave_map_;  // id -> channel
   std::unordered_map<u64, ChannelEndpoint*> pending_fwd_;  // req_id -> came-from
   std::deque<std::pair<u64, sim::TimePoint>> fwd_log_;  // insertion order/time
@@ -839,14 +776,9 @@ class XememKernel {
   std::unordered_map<std::string, Segid> ns_names_;
   std::unordered_map<u64, sim::TimePoint> ns_leases_;  // enclave -> expiry
 
-  // ------------------------------------------- name-service failover state
-  u64 ns_epoch_{1};
+  // ------------------------------------------- name-server death (§6b)
   bool ns_lost_{false};      // discovery terminally exhausted
   bool discovering_{false};  // a discovery() actor is already running
-  u64 rereg_epoch_{1};       // newest epoch we (re-)registered under
-  u64 max_seen_enclave_{0};  // high-water enclave id observed in traffic
-  sim::TimePoint promote_time_{0};
-  sim::TimePoint ns_recovery_until_{0};
   u64 crash_after_ns_requests_{0};
 
   // ------------------------------------------- sharded name service state

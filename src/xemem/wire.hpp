@@ -53,16 +53,6 @@ enum class Cmd : u8 {
   detach,       ///< drop an attachment (owner unpins)
   detach_resp,
 
-  // Name-service failover (DESIGN.md §"Name-service failover"): the
-  // standby's end-to-end liveness probe, the epoch announcement flooded
-  // after a promotion, and the re-registration round in which surviving
-  // owners replay their exports to rebuild the registry.
-  ns_probe,       ///< standby -> name server: "are you alive?"
-  ns_probe_resp,
-  ns_announce,    ///< one-way flood: "epoch msg.epoch is live, NS is msg.src"
-  reregister,     ///< survivor replays locally-owned exports to the new NS
-  reregister_resp,
-
   // Sharded name service (DESIGN.md §6c): the quorum-replication protocol
   // among a shard's replica group, plus neighbor route learning.
   shard_replicate,       ///< primary -> follower: append one op at msg.offset
@@ -97,11 +87,6 @@ struct Message {
   EnclaveId src{EnclaveId::invalid()};
   EnclaveId dst{EnclaveId::invalid()};
   u64 req_id{0};
-  /// Name-service epoch the sender believes is current. The system boots
-  /// in epoch 1; every name-server promotion bumps it. The name server
-  /// rejects older epochs with Errc::stale_epoch (retryable), and any node
-  /// seeing a newer epoch adopts it and re-resolves its NS direction.
-  u64 epoch{1};
   /// Sharded name service (DESIGN.md §6c): registry shard this message is
   /// bound for, and the per-shard epoch the sender believes is current.
   /// shard_epoch == 0 marks classic (unsharded) traffic; replicas reject
@@ -154,8 +139,6 @@ struct Message {
       case Cmd::get_resp:
       case Cmd::attach_resp:
       case Cmd::detach_resp:
-      case Cmd::ns_probe_resp:
-      case Cmd::reregister_resp:
       case Cmd::shard_replicate_resp:
       case Cmd::shard_sync_resp:
       case Cmd::shard_vote_resp:
@@ -176,7 +159,6 @@ struct Message {
       case Cmd::release:
       case Cmd::enclave_shutdown:
       case Cmd::heartbeat:
-      case Cmd::ns_announce:
       case Cmd::shard_announce:
       case Cmd::hello:
       case Cmd::cap_revoked:
@@ -210,11 +192,6 @@ inline const char* cmd_name(Cmd c) {
     case Cmd::attach_resp: return "attach_resp";
     case Cmd::detach: return "detach";
     case Cmd::detach_resp: return "detach_resp";
-    case Cmd::ns_probe: return "ns_probe";
-    case Cmd::ns_probe_resp: return "ns_probe_resp";
-    case Cmd::ns_announce: return "ns_announce";
-    case Cmd::reregister: return "reregister";
-    case Cmd::reregister_resp: return "reregister_resp";
     case Cmd::shard_replicate: return "shard_replicate";
     case Cmd::shard_replicate_resp: return "shard_replicate_resp";
     case Cmd::shard_sync: return "shard_sync";
@@ -234,10 +211,11 @@ inline const char* cmd_name(Cmd c) {
   return "?";
 }
 
-/// Segids are epoch-prefixed: the top bits carry the name-service epoch
-/// that minted them, the low bits a per-epoch counter. A name server
-/// reborn in a later epoch restarts its counter at 1 yet can never
-/// re-issue a segid still live from a prior epoch.
+/// Segids are epoch-prefixed: the top bits carry the epoch that minted
+/// them, the low bits a per-epoch counter. The central name server mints
+/// everything in epoch 1; a shard primary elected into a later shard epoch
+/// restarts its counter yet can never re-issue a segid still live from a
+/// prior epoch (DESIGN.md §6c).
 constexpr u32 kSegidEpochShift = 48;
 constexpr u64 kSegidSeqMask = (1ull << kSegidEpochShift) - 1;
 

@@ -1,7 +1,8 @@
 // Fault-tolerance subsystem: deterministic channel fault injection
 // (FaultyEndpoint), request retry/backoff with per-command idempotency
-// (req_id dedup caches), abrupt enclave crash semantics, and name-server
-// lease expiry / garbage collection.
+// (req_id dedup caches), abrupt enclave crash semantics, name-server
+// lease expiry / garbage collection, and the defined terminal states of a
+// central name-server death (DESIGN.md §6b).
 #include <gtest/gtest.h>
 
 #include "common/units.hpp"
@@ -396,6 +397,233 @@ TEST(Fault, HeartbeatAtExpiryDoesNotResurrectLease) {
     co_await sim::delay(1_ms);
     EXPECT_FALSE(mgmt.ns_has_lease(fake));
     EXPECT_EQ(mgmt.stats().leases_expired, 1u);
+  };
+  eng.run(main());
+}
+
+// Tight policy for the name-server death tests: NS-bound requests and
+// discovery give up in simulated milliseconds.
+KernelConfig ns_death_config() {
+  KernelConfig cfg;
+  cfg.request_timeout = 1_ms;
+  cfg.ping_timeout = 200_us;
+  cfg.max_retries = 2;
+  cfg.backoff_base = 100_us;
+  cfg.backoff_max = 400_us;
+  cfg.lease_duration = 5_ms;
+  cfg.discovery_max_rounds = 16;
+  return cfg;
+}
+
+// A status a workload may see once the central name server is dead:
+// transient, or cleanly terminal.
+bool clean_ns_error(Errc e) {
+  return e == Errc::unreachable || e == Errc::no_name_server ||
+         e == Errc::no_such_segid;
+}
+
+// One crashpoint-sweep run: kill the name server immediately before its
+// k-th processed command (k = 0 disables the hook) and drive the full
+// make/get/attach/read/detach/release/remove sequence with bounded
+// retries. Nothing takes over the registry (DESIGN.md §6b), so every op
+// past the crash fails — it must fail with a clean status, never hang.
+struct NsSweep {
+  u64 ns_requests{0};  // commands the (dead or alive) NS processed
+  bool completed{false};  // every op succeeded
+};
+
+NsSweep run_ns_crashpoint(u64 k) {
+  NsSweep out;
+  sim::Engine eng(9100);  // same seed for every k: only the crashpoint moves
+  Node node(hw::Machine::r420());
+  node.set_kernel_config(ns_death_config());
+  auto& mgmt = node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
+  auto& ck1 = node.add_cokernel("ck1", 0, {4, 5}, 256_MiB);
+  auto& ck2 = node.add_cokernel("ck2", 0, {6, 7}, 256_MiB);
+  node.link_peers("ck1", "ck2");
+  mgmt.crash_after_ns_requests(k);
+
+  auto main = [&]() -> sim::Task<void> {
+    co_await node.start();
+    os::Process* op = node.enclave("ck2").create_process(8_MiB).value();
+    os::Process* up = node.enclave("ck1").create_process(1_MiB).value();
+    std::vector<u8> pattern(64_KiB);
+    for (size_t i = 0; i < pattern.size(); ++i) pattern[i] = u8(i * 53 + k);
+    if (ck2.id().valid()) {
+      CO_ASSERT_TRUE(node.enclave("ck2")
+                         .proc_write(*op, op->image_base(), pattern.data(),
+                                     pattern.size())
+                         .ok());
+    }
+
+    // make (owner ck2)
+    Result<Segid> sid{Errc::unreachable};
+    for (int i = 0; i < 120; ++i) {
+      sid = co_await ck2.xpmem_make(*op, op->image_base(), 64_KiB, "sweep");
+      if (sid.ok()) break;
+      CO_ASSERT_TRUE(clean_ns_error(sid.error()));
+      if (sid.error() == Errc::no_name_server) break;  // terminal
+      co_await sim::delay(500_us);
+    }
+
+    // get + attach + read (attacher ck1)
+    Result<XpmemGrant> grant{Errc::unreachable};
+    Result<XpmemAttachment> att{Errc::unreachable};
+    if (sid.ok()) {
+      for (int i = 0; i < 120; ++i) {
+        grant = co_await ck1.xpmem_get(sid.value());
+        if (grant.ok()) {
+          att = co_await ck1.xpmem_attach(*up, grant.value(), 0, 64_KiB);
+          if (att.ok()) break;
+          CO_ASSERT_TRUE(clean_ns_error(att.error()));
+          (void)co_await ck1.xpmem_release(grant.value());
+          grant = Errc::unreachable;
+        } else {
+          CO_ASSERT_TRUE(clean_ns_error(grant.error()));
+          if (grant.error() == Errc::no_name_server) break;
+        }
+        co_await sim::delay(500_us);
+      }
+    }
+    if (att.ok()) {
+      co_await node.enclave("ck1").touch_attached(*up, att.value().va,
+                                                  att.value().pages);
+      std::vector<u8> got(pattern.size());
+      CO_ASSERT_TRUE(node.enclave("ck1")
+                         .proc_read(*up, att.value().va, got.data(), got.size())
+                         .ok());
+      EXPECT_EQ(got, pattern) << "crashpoint " << k;
+    }
+
+    // detach + release
+    Result<void> d{Errc::unreachable};
+    if (att.ok()) {
+      for (int i = 0; i < 120; ++i) {
+        d = co_await ck1.xpmem_detach(*up, att.value());
+        // not_attached: a retried detach whose predecessor's owner half
+        // did land (response lost with the dying forwarder) — converged.
+        if (d.ok() || d.error() == Errc::not_attached) break;
+        CO_ASSERT_TRUE(clean_ns_error(d.error()));
+        if (d.error() == Errc::no_name_server) break;
+        co_await sim::delay(500_us);
+      }
+    }
+    if (grant.ok()) (void)co_await ck1.xpmem_release(grant.value());
+
+    // remove (owner withdraws the export)
+    Result<void> rm{Errc::unreachable};
+    if (sid.ok()) {
+      for (int i = 0; i < 120; ++i) {
+        rm = co_await ck2.xpmem_remove(*op, sid.value());
+        if (rm.ok()) break;
+        CO_ASSERT_TRUE(clean_ns_error(rm.error()) || rm.error() == Errc::busy);
+        if (rm.error() == Errc::no_name_server) break;
+        co_await sim::delay(500_us);
+      }
+    }
+    out.completed = sid.ok() && att.ok() && d.ok() && rm.ok();
+
+    if (mgmt.is_crashed()) {
+      // The registry died with the hub: an owner-side pin whose detach
+      // (or whose attach response) was lost with it can no longer be
+      // released over the protocol. Owner-side cleanup frees it; a
+      // retried attach must have pinned at most once.
+      EXPECT_LE(ck2.reap_attacher_pins(ck1.id()), 1u) << "crashpoint " << k;
+    }
+    EXPECT_EQ(ck1.pinned_frames(), 0u) << "crashpoint " << k;
+    EXPECT_EQ(ck2.pinned_frames(), 0u) << "crashpoint " << k;
+    EXPECT_EQ(node.machine().pmem().total_refs(), 0u) << "crashpoint " << k;
+    out.ns_requests = mgmt.stats().ns_requests;
+  };
+  eng.run(main());
+  return out;
+}
+
+TEST(Fault, NsCrashpointSweepConverges) {
+  // Enumerate every command the central name server processes during a
+  // make/get/attach/release/remove workload and kill it at each one. The
+  // k = 0 baseline completes every op; every other crashpoint must end
+  // with clean statuses and no leaked frame references.
+  NsSweep base = run_ns_crashpoint(0);
+  EXPECT_TRUE(base.completed) << "baseline: nothing dies, everything works";
+  ASSERT_GT(base.ns_requests, 4u);
+  for (u64 k = 1; k <= base.ns_requests + 2; ++k) run_ns_crashpoint(k);
+}
+
+TEST(Fault, StandbylessCrashIsDefinedFailureMode) {
+  // A name-server crash never aborts or hangs: NS-bound requests exhaust
+  // their retries, discovery exhausts its probe rounds, and callers get
+  // the terminal Errc::no_name_server.
+  sim::Engine eng(9003);
+  Node node(hw::Machine::r420());
+  KernelConfig cfg;
+  cfg.request_timeout = 1_ms;
+  cfg.ping_timeout = 200_us;
+  cfg.max_retries = 2;
+  cfg.backoff_base = 100_us;
+  cfg.backoff_max = 400_us;
+  cfg.discovery_max_rounds = 4;
+  node.set_kernel_config(cfg);
+  auto& mgmt = node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
+  auto& ck = node.add_cokernel("ck", 0, {6, 7}, 256_MiB);
+
+  auto main = [&]() -> sim::Task<void> {
+    co_await node.start();
+    mgmt.crash();
+    EXPECT_TRUE(mgmt.is_crashed());
+
+    // Interim attempts may see plain unreachable while retries burn down;
+    // the terminal state must be reached, bounded, with no hang.
+    Errc last = Errc::ok;
+    for (int i = 0; i < 50; ++i) {
+      auto s = co_await ck.xpmem_search("anything");
+      CO_ASSERT_TRUE(!s.ok());
+      last = s.error();
+      CO_ASSERT_TRUE(last == Errc::unreachable || last == Errc::no_name_server);
+      if (last == Errc::no_name_server) break;
+      co_await sim::delay(1_ms);
+    }
+    EXPECT_EQ(last, Errc::no_name_server);
+    EXPECT_TRUE(ck.ns_lost());
+    // The enclave registered before the crash, so only the service — not
+    // the registration — is lost.
+    EXPECT_FALSE(ck.registration_failed());
+  };
+  eng.run(main());
+}
+
+TEST(Fault, FullyPartitionedEnclaveSurfacesTerminalStatus) {
+  // An enclave whose every channel is dead must not retry discovery into
+  // the void forever — registration gives up after discovery_max_rounds
+  // and surfaces a terminal status.
+  sim::Engine eng(9004);
+  Node node(hw::Machine::r420());
+  KernelConfig cfg;
+  cfg.request_timeout = 1_ms;
+  cfg.ping_timeout = 200_us;
+  cfg.max_retries = 1;
+  cfg.backoff_base = 100_us;
+  cfg.backoff_max = 400_us;
+  cfg.discovery_max_rounds = 4;
+  node.set_kernel_config(cfg);
+  node.enable_fault_injection(FaultSpec{}, /*seed=*/601);  // transparent wrap
+  node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
+  auto& ck = node.add_cokernel("ck", 0, {6, 7}, 256_MiB);
+  // Sever the enclave's only link before anything starts.
+  for (const auto& ep : node.faulty_endpoints()) ep->kill();
+
+  auto main = [&]() -> sim::Task<void> {
+    const sim::TimePoint t0 = sim::now();
+    co_await node.start();  // completes: registration fails terminally
+    EXPECT_TRUE(ck.ns_lost());
+    EXPECT_TRUE(ck.registration_failed());
+    EXPECT_FALSE(ck.id().valid());
+    // Bounded: max_rounds sweeps of (probe timeout + backoff), not forever.
+    EXPECT_LT(sim::now() - t0, u64(1'000) * 1_ms);
+
+    os::Process* p = node.enclave("ck").create_process(1_MiB).value();
+    auto sid = co_await ck.xpmem_make(*p, p->image_base(), 4_KiB);
+    EXPECT_EQ(sid.error(), Errc::no_name_server);
   };
   eng.run(main());
 }

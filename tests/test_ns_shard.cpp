@@ -1,12 +1,13 @@
 // Sharded, quorum-replicated name service: segid/name routing across
 // shards, majority-ack writes, per-shard epochs and failover by follower
-// log catch-up, the deterministic crashpoint sweep over primaries AND
-// followers, minority-partition grace semantics, and the bounded dedup
-// cache (DESIGN.md §6c).
+// log catch-up, survival of the hub's death, the deterministic crashpoint
+// sweep over primaries AND followers, minority-partition grace semantics,
+// and the bounded dedup cache (DESIGN.md §6c).
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "collectives/comm.hpp"
 #include "common/units.hpp"
 #include "xemem/fault.hpp"
 #include "xemem/system.hpp"
@@ -235,8 +236,7 @@ TEST(NsShard, PrimaryCrashFailoverPreservesRegistry) {
     const u64 e2 = next->shard_epoch_of(0);
     EXPECT_GE(e2, 2u);
 
-    // The pre-crash registration survives via the replicated log — no
-    // re-registration round ran anywhere.
+    // The pre-crash registration survives via the replicated log.
     Result<Segid> found{Errc::unreachable};
     for (int i = 0; i < 400; ++i) {
       found = co_await client->xpmem_search("stable");
@@ -246,12 +246,8 @@ TEST(NsShard, PrimaryCrashFailoverPreservesRegistry) {
     }
     CO_ASSERT_TRUE(found.ok());
     EXPECT_EQ(found.value().value(), sid.value().value());
-    u64 reregs = 0, promos = 0;
-    for (const auto& n : names) {
-      reregs += node.kernel(n).stats().reregistrations;
-      promos += node.kernel(n).stats().shard_promotions;
-    }
-    EXPECT_EQ(reregs, 0u) << "failover is log catch-up, not re-registration";
+    u64 promos = 0;
+    for (const auto& n : names) promos += node.kernel(n).stats().shard_promotions;
     EXPECT_GE(promos, 1u);
 
     // New mints carry the new epoch prefix: a reborn primary can never
@@ -271,6 +267,173 @@ TEST(NsShard, PrimaryCrashFailoverPreservesRegistry) {
     auto grant = co_await next->xpmem_get(found.value());
     CO_ASSERT_TRUE(grant.ok());
     CO_ASSERT_TRUE((co_await next->xpmem_release(grant.value())).ok());
+  };
+  eng.run(main());
+}
+
+TEST(NsShard, HubCrashLeavesRegistryServing) {
+  // The hub (enclave 0: the central name server, discovery and enclave-id
+  // allocation) dies under a two-replica shard. A replica host serves its
+  // own registry requests in place, never via the hub, so both hosts keep
+  // resolving, attaching and minting after the crash.
+  sim::Engine eng(9001);
+  Node node(hw::Machine::r420());
+  node.set_kernel_config(shard_config({{1, 2}}));
+  auto& hub = node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
+  node.add_cokernel("ck1", 0, {4, 5}, 256_MiB);
+  node.add_cokernel("ck2", 0, {6, 7}, 256_MiB);
+  node.link_peers("ck1", "ck2");  // stay connected when the hub dies
+  const std::vector<std::string> names{"ck1", "ck2"};
+
+  auto main = [&]() -> sim::Task<void> {
+    co_await node.start();
+    const std::string pname = name_of_id(node, names, 1);
+    const std::string fname = name_of_id(node, names, 2);
+    XememKernel& primary = node.kernel(pname);
+    XememKernel& follower = node.kernel(fname);
+    CO_ASSERT_TRUE(primary.is_shard_primary(0));
+    // Let the startup hellos land: replication to the follower then takes
+    // the learned peer link instead of the hub.
+    co_await sim::delay(200_us);
+
+    // The primary's own make and search cause no hub forwards.
+    os::Process* pp = node.enclave(pname).create_process(1_MiB).value();
+    const u64 hub_fwd = hub.stats().messages_forwarded;
+    auto own = co_await primary.xpmem_make(*pp, pp->image_base(), 4_KiB, "own");
+    CO_ASSERT_TRUE(own.ok());
+    auto own_found = co_await primary.xpmem_search("own");
+    CO_ASSERT_TRUE(own_found.ok());
+    EXPECT_EQ(own_found.value().value(), own.value().value());
+    EXPECT_EQ(hub.stats().messages_forwarded, hub_fwd);
+
+    os::Process* fp = node.enclave(fname).create_process(8_MiB).value();
+    std::vector<u8> pattern(64_KiB);
+    for (size_t i = 0; i < pattern.size(); ++i) pattern[i] = u8(i * 131 + 7);
+    CO_ASSERT_TRUE(node.enclave(fname)
+                       .proc_write(*fp, fp->image_base(), pattern.data(),
+                                   pattern.size())
+                       .ok());
+    auto sid =
+        co_await follower.xpmem_make(*fp, fp->image_base(), 64_KiB, "survivor");
+    CO_ASSERT_TRUE(sid.ok());
+
+    hub.crash();
+
+    // The pre-crash name resolves from both replica hosts.
+    for (XememKernel* k : {&primary, &follower}) {
+      auto found = co_await k->xpmem_search("survivor");
+      CO_ASSERT_TRUE(found.ok());
+      EXPECT_EQ(found.value().value(), sid.value().value());
+    }
+
+    // The primary attaches the follower's export and reads its data.
+    auto grant = co_await primary.xpmem_get(sid.value());
+    CO_ASSERT_TRUE(grant.ok());
+    auto att = co_await primary.xpmem_attach(*pp, grant.value(), 0, 64_KiB);
+    CO_ASSERT_TRUE(att.ok());
+    co_await node.enclave(pname).touch_attached(*pp, att.value().va,
+                                                att.value().pages);
+    std::vector<u8> got(pattern.size());
+    CO_ASSERT_TRUE(node.enclave(pname)
+                       .proc_read(*pp, att.value().va, got.data(), got.size())
+                       .ok());
+    EXPECT_EQ(got, pattern);
+    CO_ASSERT_TRUE((co_await primary.xpmem_detach(*pp, att.value())).ok());
+    CO_ASSERT_TRUE((co_await primary.xpmem_release(grant.value())).ok());
+
+    // Both hosts mint new segids.
+    auto p2 = co_await primary.xpmem_make(*pp, pp->image_base(), 4_KiB);
+    auto f2 = co_await follower.xpmem_make(*fp, fp->image_base(), 4_KiB);
+    CO_ASSERT_TRUE(p2.ok());
+    CO_ASSERT_TRUE(f2.ok());
+    std::set<u64> segids{own.value().value(), sid.value().value(),
+                         p2.value().value(), f2.value().value()};
+    EXPECT_EQ(segids.size(), 4u) << "every mint is unique";
+
+    EXPECT_EQ(follower.pinned_frames(), 0u);
+    EXPECT_EQ(node.machine().pmem().total_refs(), 0u);
+  };
+  eng.run(main());
+}
+
+TEST(NsShard, CollectiveBootstrapSurvivesPrimaryCrash) {
+  // Kill the shard's boot primary mid-collective-bootstrap. The primary
+  // hosts no rank: the bootstrap's retry loops ride out the election and
+  // the collective completes on the two ranks' enclaves.
+  sim::Engine eng(9005);
+  Node node(hw::Machine::r420());
+  node.set_kernel_config(shard_config({{1, 2, 3}}));
+  node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
+  node.add_cokernel("cka", 0, {4, 5}, 256_MiB);
+  node.add_cokernel("ckb", 0, {6, 7}, 256_MiB);
+  node.add_cokernel("ckc", 0, {8, 9}, 256_MiB);
+  const std::vector<std::string> names{"cka", "ckb", "ckc"};
+  node.link_peers("cka", "ckb");
+  node.link_peers("cka", "ckc");
+  node.link_peers("ckb", "ckc");
+
+  coll::CollConfig ccfg;
+  ccfg.slot_bytes = 32_KiB;
+  ccfg.chunk_bytes = 8_KiB;
+  ccfg.bootstrap_timeout = 400_ms;
+  ccfg.timeout = 100_ms;
+
+  auto main = [&]() -> sim::Task<void> {
+    co_await node.start();
+    XememKernel* boot = node.kernel_with_id(1);
+    CO_ASSERT_TRUE(boot != nullptr && boot->is_shard_primary(0));
+    // The bootstrap's very next shard interactions trip the crash.
+    boot->crash_after_shard_requests(boot->stats().shard_requests + 3);
+
+    const std::vector<std::string> placement{name_of_id(node, names, 2),
+                                             name_of_id(node, names, 3)};
+    std::vector<coll::Comm::Member> members;
+    for (u32 r = 0; r < 2; ++r) {
+      auto& enclave = node.enclave(placement[r]);
+      hw::Core* core = enclave.cores()[0];
+      auto proc = enclave.create_process(
+          coll::Comm::region_bytes(2, ccfg) + kPageSize, core);
+      CO_ASSERT_TRUE(proc.ok());
+      members.push_back(coll::Comm::Member{&node.kernel(placement[r]), &enclave,
+                                           proc.value(), core,
+                                           proc.value()->image_base()});
+    }
+
+    std::vector<std::unique_ptr<coll::Comm>> comms(2);
+    u32 pending = 2;
+    sim::Event all_done;
+    auto boot_rank = [&](u32 r) -> sim::Task<void> {
+      auto c = co_await coll::Comm::create(members[r], "ft", r, 2, ccfg);
+      CO_ASSERT_TRUE(c.ok());
+      comms[r] = std::move(c).value();
+      if (--pending == 0) all_done.set();
+    };
+    for (u32 r = 0; r < 2; ++r) sim::Engine::current()->spawn(boot_rank(r));
+    co_await all_done.wait();
+    CO_ASSERT_TRUE(comms[0] != nullptr && comms[1] != nullptr);
+    EXPECT_TRUE(boot->is_crashed()) << "the crashpoint must actually fire";
+    u64 promos = 0;
+    for (const auto& n : names) promos += node.kernel(n).stats().shard_promotions;
+    EXPECT_GE(promos, 1u) << "a surviving replica took over the shard";
+
+    // The communicator works after the election: barrier + allreduce.
+    u32 left = 2;
+    sim::Event ops_done;
+    auto run_ops = [&](u32 r) -> sim::Task<void> {
+      CO_ASSERT_TRUE((co_await comms[r]->barrier()).ok());
+      std::vector<double> in(512), out(512, 0.0);
+      for (size_t i = 0; i < in.size(); ++i) in[i] = double(r + 1);
+      CO_ASSERT_TRUE(
+          (co_await comms[r]->allreduce(in.data(), out.data(), in.size(),
+                                        coll::ReduceOp::sum))
+              .ok());
+      for (double v : out) CO_ASSERT_TRUE(v == 3.0);  // 1 + 2
+      (void)co_await comms[r]->finalize();
+      if (--left == 0) ops_done.set();
+    };
+    for (u32 r = 0; r < 2; ++r) sim::Engine::current()->spawn(run_ops(r));
+    co_await ops_done.wait();
+    EXPECT_EQ(node.machine().pmem().total_refs(), 0u);
   };
   eng.run(main());
 }

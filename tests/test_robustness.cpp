@@ -47,7 +47,7 @@ TEST(Robustness, DiscoverySurvivesDeadNeighborChannel) {
     co_await ckk.wait_registered();
     EXPECT_TRUE(ckk.id().valid());
     // Registration took at least one ping timeout (the dead probe).
-    EXPECT_GE(sim::now(), XememKernel::kPingTimeout);
+    EXPECT_GE(sim::now(), KernelConfig{}.ping_timeout);
   };
   eng.run(main());
 }
