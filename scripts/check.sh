@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: tier-1 build + tests, then the same suite under
+# Full local gate: tier-1 build + tests, a golden diff of the paper
+# harnesses' simulated outputs, then the same suite under
 # AddressSanitizer/UBSan (catches lifetime bugs the coroutine-heavy
 # simulator is prone to), plus optional standalone UBSan and TSan legs.
 # The TSan leg runs the suite twice: once with the default serial engine
@@ -68,6 +69,26 @@ if [[ $asan_only -eq 0 ]]; then
   cmake -B build -S . >/dev/null
   cmake --build build -j
   ctest --test-dir build --output-on-failure -j "$(nproc)"
+
+  echo "== golden: paper harness stdout against bench/golden/ =="
+  # Host-performance work must leave simulated outputs bit-identical. Each
+  # paper harness runs once per config (XEMEM_BENCH_RUNS=1) and its stdout,
+  # minus the host wall-clock footer, must equal the recorded golden. With
+  # one run the error-bar shape checks of fig8/fig9 print [FAIL] and exit 1;
+  # the goldens record that too, so exit codes are not checked here. A change
+  # that means to move the model regenerates the goldens the same way:
+  #   XEMEM_BENCH_RUNS=1 build/bench/$h | sed '/host wall clock/d' > bench/golden/$h.txt
+  golden_failed=0
+  for h in fig5_attach_vs_rdma fig6_enclave_scaling fig7_noise_profile \
+           fig8_single_node_insitu fig9_multi_node_insitu table2_vm_throughput; do
+    { XEMEM_BENCH_RUNS=1 ./build/bench/"$h" || true; } | sed '/host wall clock/d' \
+      > build/golden_"$h".txt
+    diff -u bench/golden/"$h".txt build/golden_"$h".txt || golden_failed=1
+  done
+  if [[ $golden_failed -ne 0 ]]; then
+    echo "golden: simulated outputs differ from bench/golden/" >&2
+    exit 1
+  fi
 
   echo "== collectives bench smoke (JSON next to the ablations) =="
   run_timed "collectives_scaling" \

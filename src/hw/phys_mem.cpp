@@ -132,6 +132,38 @@ FrameZone& PhysicalMemory::zone_of(Pfn pfn) {
   XEMEM_PANIC("pfn outside all zones");
 }
 
+void PhysicalMemory::ref_run(FrameExtent ext) {
+  u64 pfn = ext.start.value();
+  const u64 end = pfn + ext.count;
+  while (pfn < end) {
+    const u64 c = pfn / kPinChunk;
+    if (c >= pins_.size()) pins_.resize(c + 1);
+    if (!pins_[c]) pins_[c] = std::make_unique<PinChunk>();
+    PinChunk& chunk = *pins_[c];
+    for (const u64 stop = std::min(end, (c + 1) * kPinChunk); pfn < stop; ++pfn) {
+      if (chunk.count[pfn % kPinChunk]++ == 0) ++chunk.live;
+    }
+  }
+  total_refs_ += ext.count;
+}
+
+void PhysicalMemory::unref_run(FrameExtent ext) {
+  u64 pfn = ext.start.value();
+  const u64 end = pfn + ext.count;
+  while (pfn < end) {
+    const u64 c = pfn / kPinChunk;
+    XEMEM_ASSERT_MSG(c < pins_.size() && pins_[c], "unref of unreferenced frame");
+    PinChunk& chunk = *pins_[c];
+    for (const u64 stop = std::min(end, (c + 1) * kPinChunk); pfn < stop; ++pfn) {
+      u32& n = chunk.count[pfn % kPinChunk];
+      XEMEM_ASSERT_MSG(n > 0, "unref of unreferenced frame");
+      if (--n == 0) --chunk.live;
+    }
+    if (chunk.live == 0) pins_[c].reset();
+  }
+  total_refs_ -= ext.count;
+}
+
 u8* PhysicalMemory::backing_for(Pfn pfn) const {
   auto it = backing_.find(pfn.value());
   if (it == backing_.end()) {

@@ -15,6 +15,7 @@
 // nothing on the host.
 #pragma once
 
+#include <array>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -140,39 +141,35 @@ class PhysicalMemory {
   /// Machine-global share/pin refcounts. XEMEM pins exported frames here
   /// (rather than in a FrameZone) because enclaves own carved sub-zones of
   /// the socket zones: the pin must be visible wherever the frame came
-  /// from. Leak tests assert total_refs() == 0 after teardown.
-  void ref(Pfn pfn) { ++share_refs_[pfn.value()]; }
-  /// Reference every frame of a contiguous run. Pinning works run-at-a-time
-  /// so callers holding extent-compressed frame lists never expand them just
-  /// to bump refcounts.
-  void ref_run(FrameExtent ext) {
-    for (u64 i = 0; i < ext.count; ++i) ++share_refs_[ext.start.value() + i];
-  }
-  void unref_run(FrameExtent ext) {
-    for (u64 i = 0; i < ext.count; ++i) unref(ext.start + i);
-  }
-  void unref(Pfn pfn) {
-    auto it = share_refs_.find(pfn.value());
-    XEMEM_ASSERT_MSG(it != share_refs_.end() && it->second > 0,
-                     "unref of unreferenced frame");
-    if (--it->second == 0) share_refs_.erase(it);
-  }
+  /// from. Pinning works run-at-a-time so callers holding extent-compressed
+  /// frame lists never expand them just to bump refcounts. Leak tests
+  /// assert total_refs() == 0 after teardown.
+  void ref_run(FrameExtent ext);
+  /// Drop one reference from every frame of a run; every frame must be
+  /// referenced.
+  void unref_run(FrameExtent ext);
   u64 refcount(Pfn pfn) const {
-    auto it = share_refs_.find(pfn.value());
-    return it == share_refs_.end() ? 0 : it->second;
+    const u64 c = pfn.value() / kPinChunk;
+    return c < pins_.size() && pins_[c] ? pins_[c]->count[pfn.value() % kPinChunk] : 0;
   }
-  u64 total_refs() const {
-    u64 n = 0;
-    for (auto& [p, c] : share_refs_) n += c;
-    return n;
-  }
+  u64 total_refs() const { return total_refs_; }
 
  private:
   std::vector<std::unique_ptr<FrameZone>> zones_;
   u64 next_base_frame_{0};
   // Lazily-populated data plane.
   mutable std::unordered_map<u64, std::unique_ptr<u8[]>> backing_;
-  std::unordered_map<u64, u64> share_refs_;
+  // Pin counts in 512-frame chunks indexed by pfn / kPinChunk: a chunk is
+  // created by the first pin inside it and freed with its last, so the
+  // counts stay as sparse as the pins, and a run costs one lookup per chunk
+  // rather than a hash per frame.
+  static constexpr u64 kPinChunk = 512;
+  struct PinChunk {
+    std::array<u32, kPinChunk> count{};
+    u32 live{0};  ///< frames with a nonzero count
+  };
+  std::vector<std::unique_ptr<PinChunk>> pins_;
+  u64 total_refs_{0};
 
   u8* backing_for(Pfn pfn) const;
 };

@@ -15,11 +15,19 @@
 // Walk statistics (entries visited, tables allocated/freed) are reported to
 // the caller so OS personalities can charge simulated time proportional to
 // the structural work actually performed.
+//
+// Range operations walk to each 512-entry leaf table once and then sweep
+// its slots, but charge exactly what the equivalent per-page map/unmap/
+// lookup calls would (4 entries visited per 4 KiB page, the same tables
+// allocated and freed). On a conflict or a hole they hand the failing page
+// to the per-page code, so error-path stats and rollback are those of the
+// per-page loop.
 #pragma once
 
 #include <array>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -92,6 +100,13 @@ class PageTable {
   Result<void> map_range(Vaddr va, const std::vector<Pfn>& pfns, PageFlags flags,
                          WalkStats* stats = nullptr);
 
+  /// Map pfns in order at @p va, stopping at the first page map() rejects
+  /// and keeping what was installed (first-touch fault-in). Returns the
+  /// pages mapped; @p stats include the rejected attempt, as a per-page
+  /// loop's would.
+  u64 map_prefix(Vaddr va, std::span<const Pfn> pfns, PageFlags flags,
+                 WalkStats* stats = nullptr);
+
   /// Like map_range, but uses 2 MiB large mappings wherever the VA and a
   /// 512-frame run of the PFN list are suitably aligned and contiguous,
   /// falling back to 4 KiB pages elsewhere.
@@ -138,6 +153,27 @@ class PageTable {
     // level 4 -> bits 39..47, level 1 -> bits 12..20.
     return static_cast<u32>((va.value() >> (kPageShift + 9 * (level - 1))) & 0x1ff);
   }
+
+  /// Entries one 4 KiB map/unmap/lookup visits: one per level.
+  static constexpr u64 kLevels = 4;
+
+  /// Walk to the leaf table covering @p va without allocating; if given,
+  /// path[l-1] receives the table at level l. nullptr if a table is missing
+  /// or a 2 MiB mapping covers @p va.
+  Node* find_leaf(Vaddr va, Node** path = nullptr) const;
+  /// Walk to the leaf table covering @p va, creating missing tables (counted
+  /// in @p st). nullptr if a 2 MiB mapping covers @p va; then nothing was
+  /// created.
+  Node* make_leaf(Vaddr va, WalkStats& st);
+  /// Map pfns[0, n) at @p va leaf by leaf, stopping before the first page
+  /// that map() would reject. Returns the pages mapped.
+  u64 map_run(Vaddr va, std::span<const Pfn> pfns, PageFlags flags, WalkStats& st);
+  /// Unmap the present pages at the front of [va, va + n*4K) inside one
+  /// leaf, reclaiming emptied tables as unmap() would. Returns the pages
+  /// unmapped (0 if the first page is absent or in a 2 MiB mapping).
+  u64 unmap_run(Vaddr va, u64 n, WalkStats& st);
+  /// Free the tables on @p path that unmapping left empty (root is kept).
+  void reclaim(Vaddr va, Node** path, int from_level, WalkStats& st);
 
   static u64 encode(Pfn pfn, PageFlags flags) {
     return kPresent | (static_cast<u64>(flags) & 0x6) | (pfn.value() << kPfnShift);

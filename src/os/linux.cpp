@@ -119,12 +119,11 @@ sim::Task<void> LinuxEnclave::touch_attached(Process& attacher, Vaddr va, u64 pa
   const mm::PageFlags flags = rec.writable
                                   ? mm::PageFlags::writable | mm::PageFlags::user
                                   : mm::PageFlags::user;
+  // A page that is already mapped (double touch) stops the fault-in silently.
   mm::WalkStats st;
-  for (u64 i = 0; i < to_fault; ++i) {
-    auto r = attacher.pt().map(va + (first + i) * kPageSize,
-                               rec.frames.pfns[first + i], flags, &st);
-    if (!r.ok()) break;  // already mapped (double touch): stop silently
-  }
+  (void)attacher.pt().map_prefix(va + first * kPageSize,
+                                 std::span(rec.frames.pfns).subspan(first, to_fault),
+                                 flags, &st);
   rec.remaining -= to_fault;
   co_await attacher.core()->compute(to_fault * costs::kLinuxFaultPerPage +
                                     st.entries_visited * costs::kPtEntryVisit);

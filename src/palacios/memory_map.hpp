@@ -200,11 +200,41 @@ inline Result<mm::PfnList> GuestMemoryMap::translate_frames(
     const std::vector<Gfn>& gfns, MapWork* work) const {
   mm::PfnList out;
   out.pfns.reserve(gfns.size());
-  for (Gfn g : gfns) {
-    auto hpa = translate(g.paddr(), work);
-    if (!hpa) return Errc::invalid_argument;
-    out.pfns.push_back(Pfn::of(*hpa));
+  if (backend_ == MapBackend::radix) {
+    for (Gfn g : gfns) {
+      auto hpa = translate(g.paddr(), work);
+      if (!hpa) return Errc::invalid_argument;
+      out.pfns.push_back(Pfn::of(*hpa));
+    }
+    return out;
   }
+  // Every address inside one region compares the same way against every
+  // key in the tree, so its floor() descends the same path: walk once per
+  // region and charge that walk's steps to each page translated through it.
+  MapWork w;
+  u64 start = 0;
+  u64 end = 0;  // [start, end) is the region last walked to; empty at first
+  HostPaddr hpa{0};
+  u64 steps = 0;
+  for (Gfn g : gfns) {
+    const u64 gpa = g.paddr().value();
+    if (gpa < start || gpa >= end) {
+      RbOpStats st;
+      auto [k, v] = const_cast<RbTree<u64, Region>&>(rb_).floor(gpa, &st);
+      steps = st.nodes_visited;
+      if (k == nullptr || gpa >= *k + v->bytes) {
+        w.steps += steps;
+        if (work) *work += w;
+        return Errc::invalid_argument;
+      }
+      start = *k;
+      end = *k + v->bytes;
+      hpa = v->hpa;
+    }
+    w.steps += steps;
+    out.pfns.push_back(Pfn::of(hpa + (gpa - start)));
+  }
+  if (work) *work += w;
   return out;
 }
 

@@ -13,10 +13,25 @@
 // recolorings) of every operation; the VMM charges simulated time
 // proportional to those counts. A validate() routine checks the red-black
 // invariants for the property tests.
+//
+// Nodes come from a pool of fixed-size blocks and return to a free list on
+// erase, so a guest attach does not pay one heap allocation per page. Which
+// node memory is used never changes the algorithm, so the counts are those
+// of plain new/delete.
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <new>
 #include <utility>
+#include <vector>
+
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>  // no-op macros outside ASan builds
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 #include "common/assert.hpp"
 #include "common/types.hpp"
@@ -73,7 +88,8 @@ class RbTree {
         return {&cur->value, false};
       }
     }
-    Node* n = new Node{key, std::move(value), Color::red, &nil_, &nil_, parent};
+    Node* n = new (take_slot())
+        Node{key, std::move(value), Color::red, &nil_, &nil_, parent};
     if (parent == &nil_) {
       root_ = n;
     } else if (cmp_(key, parent->key)) {
@@ -138,7 +154,16 @@ class RbTree {
     free_subtree(root_);
     root_ = &nil_;
     size_ = 0;
+    for (auto& b : blocks_) {
+      ASAN_UNPOISON_MEMORY_REGION(b.get(), sizeof(Slot) * kBlockNodes);
+    }
+    blocks_.clear();
+    free_ = nullptr;
+    carved_ = kBlockNodes;
   }
+
+  /// Node-pool blocks currently held (memory diagnostics and tests).
+  u64 pool_blocks() const { return blocks_.size(); }
 
   /// Check every red-black invariant; used by the property tests.
   ///  1. the root is black;
@@ -166,6 +191,39 @@ class RbTree {
     Node* right;
     Node* parent;
   };
+
+  // One node's storage; while free it holds the free-list link instead,
+  // and ASan builds poison it so a stale node pointer faults.
+  union Slot {
+    Slot* next;
+    alignas(Node) unsigned char bytes[sizeof(Node)];
+  };
+  static constexpr u64 kBlockNodes = 256;
+
+  void* take_slot() {
+    Slot* s = free_;
+    if (s != nullptr) {
+      ASAN_UNPOISON_MEMORY_REGION(s, sizeof(Slot));
+      free_ = s->next;
+    } else {
+      if (carved_ == kBlockNodes) {
+        blocks_.push_back(std::make_unique_for_overwrite<Slot[]>(kBlockNodes));
+        ASAN_POISON_MEMORY_REGION(blocks_.back().get(), sizeof(Slot) * kBlockNodes);
+        carved_ = 0;
+      }
+      s = &blocks_.back()[carved_++];
+      ASAN_UNPOISON_MEMORY_REGION(s, sizeof(Slot));
+    }
+    return s->bytes;
+  }
+
+  void release_node(Node* n) {
+    n->~Node();
+    Slot* s = reinterpret_cast<Slot*>(n);
+    s->next = free_;
+    free_ = s;
+    ASAN_POISON_MEMORY_REGION(s, sizeof(Slot));
+  }
 
   Node* find_node(const K& key, RbOpStats* stats) {
     RbOpStats local;
@@ -315,7 +373,7 @@ class RbTree {
       y->left->parent = y;
       y->color = z->color;
     }
-    delete z;
+    release_node(z);
     --size_;
     if (y_original == Color::black) erase_fixup(x, st);
     // Restore the sentinel (transplant may have set its parent).
@@ -397,11 +455,12 @@ class RbTree {
     walk(n->right, fn);
   }
 
+  // Destroys the nodes only; clear() drops their blocks wholesale.
   void free_subtree(Node* n) {
     if (n == &nil_ || n == nullptr) return;
     free_subtree(n->left);
     free_subtree(n->right);
-    delete n;
+    n->~Node();
   }
 
   bool validate_rec(const Node* n, int blacks, int& expected, const K*& prev) const {
@@ -428,6 +487,9 @@ class RbTree {
   Node* root_;
   u64 size_{0};
   Cmp cmp_{};
+  std::vector<std::unique_ptr<Slot[]>> blocks_;
+  Slot* free_{nullptr};
+  u64 carved_{kBlockNodes};  ///< slots handed out from blocks_.back()
 };
 
 }  // namespace xemem::palacios

@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "hw/core.hpp"
 #include "hw/ipi.hpp"
@@ -163,6 +165,65 @@ TEST(PhysicalMemory, BackingIsLazy) {
   EXPECT_EQ(pm.backed_frames(), 0u);
   pm.frame_data(Pfn{100});
   EXPECT_EQ(pm.backed_frames(), 1u);
+}
+
+// Differential: overlapping ref_run/unref_run that cross 512-frame chunk
+// boundaries keep every frame's pin count equal to a std::map oracle, and
+// total_refs() equal to the oracle's sum.
+TEST(PhysicalMemory, PinCountsMatchOracleAcrossChunks) {
+  PhysicalMemory pm;
+  pm.add_zone(64ull << 20);
+  const u64 frames = pm.zone(0).total_frames();
+  Rng rng(512);
+  std::map<u64, u64> oracle;
+  std::vector<FrameExtent> live;  // runs pinned and not yet released
+  u64 oracle_total = 0;
+  for (int step = 0; step < 4000; ++step) {
+    if (live.empty() || rng.uniform() < 0.55) {
+      const u64 count = 1 + rng.uniform_u64(1300);  // up to ~3 chunks
+      // Cluster starts near a few chunk boundaries so runs overlap.
+      const u64 boundary = (1 + rng.uniform_u64(6)) * 512;
+      const u64 start = std::min(frames - count, boundary + rng.uniform_u64(900) - 450);
+      const FrameExtent ext{Pfn{start}, count};
+      pm.ref_run(ext);
+      for (u64 i = 0; i < count; ++i) ++oracle[start + i];
+      oracle_total += count;
+      live.push_back(ext);
+    } else {
+      const u64 pick = rng.uniform_u64(live.size());
+      const FrameExtent ext = live[pick];
+      live[pick] = live.back();
+      live.pop_back();
+      pm.unref_run(ext);
+      for (u64 i = 0; i < ext.count; ++i) {
+        if (--oracle[ext.start.value() + i] == 0) oracle.erase(ext.start.value() + i);
+      }
+      oracle_total -= ext.count;
+    }
+    ASSERT_EQ(pm.total_refs(), oracle_total) << "step " << step;
+    if (step % 97 == 0) {
+      for (u64 f = 0; f < 10 * 512; ++f) {
+        const auto it = oracle.find(f);
+        ASSERT_EQ(pm.refcount(Pfn{f}), it == oracle.end() ? 0 : it->second)
+            << "step " << step << " frame " << f;
+      }
+    }
+  }
+  for (const auto& ext : live) pm.unref_run(ext);
+  EXPECT_EQ(pm.total_refs(), 0u);
+  for (u64 f = 0; f < 10 * 512; ++f) ASSERT_EQ(pm.refcount(Pfn{f}), 0u);
+}
+
+TEST(PhysicalMemoryDeathTest, UnrefOfUnpinnedFrameIsFatal) {
+  PhysicalMemory pm;
+  pm.add_zone(16ull << 20);
+  // No chunk at all, and a pinned chunk whose frame has no pin.
+  EXPECT_DEATH(pm.unref_run(FrameExtent{Pfn{5}, 1}), "unref of unreferenced frame");
+  pm.ref_run(FrameExtent{Pfn{510}, 4});
+  EXPECT_DEATH(pm.unref_run(FrameExtent{Pfn{509}, 2}), "unref of unreferenced frame");
+  EXPECT_DEATH(pm.unref_run(FrameExtent{Pfn{512}, 3}), "unref of unreferenced frame");
+  pm.unref_run(FrameExtent{Pfn{510}, 4});
+  EXPECT_EQ(pm.total_refs(), 0u);
 }
 
 TEST(PhysicalMemory, FreshFramesReadAsZero) {

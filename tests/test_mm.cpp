@@ -2,7 +2,11 @@
 // the map/translate round-trip property XEMEM's attach path depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <tuple>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "mm/page_table.hpp"
@@ -159,6 +163,210 @@ TEST(PageTableProperty, DifferentialAgainstMapOracle) {
     }
   }
   EXPECT_EQ(pt.mapped_pages(), oracle.size());
+}
+
+// ---------------------------------------------- range ops vs per-page twin
+
+// The per-page loops the range operations replaced, driven through the
+// public single-page calls. A range operation must charge exactly what
+// these charge, on success and on every error path.
+Result<void> twin_map_range(PageTable& pt, Vaddr va, const std::vector<Pfn>& pfns,
+                            PageFlags flags, WalkStats* st) {
+  for (u64 i = 0; i < pfns.size(); ++i) {
+    auto r = pt.map(va + i * kPageSize, pfns[i], flags, st);
+    if (!r.ok()) {
+      for (u64 j = 0; j < i; ++j) (void)pt.unmap(va + j * kPageSize, st);
+      return r;
+    }
+  }
+  return {};
+}
+
+u64 twin_map_prefix(PageTable& pt, Vaddr va, const std::vector<Pfn>& pfns,
+                    PageFlags flags, WalkStats* st) {
+  u64 i = 0;
+  while (i < pfns.size() && pt.map(va + i * kPageSize, pfns[i], flags, st).ok()) ++i;
+  return i;
+}
+
+Result<void> twin_unmap_range(PageTable& pt, Vaddr va, u64 count, WalkStats* st) {
+  constexpr u64 kSpan = PageTable::kLargeSpan;
+  u64 done = 0;
+  while (done < count) {
+    const Vaddr cur = va + done * kPageSize;
+    auto view = pt.lookup(cur, nullptr);
+    if (view && view->large) {
+      if (cur.value() % (kSpan * kPageSize) != 0 || count - done < kSpan) {
+        return Errc::invalid_argument;
+      }
+      auto r = pt.unmap_large(cur, st);
+      if (!r.ok()) return r;
+      done += kSpan;
+      continue;
+    }
+    auto r = pt.unmap(cur, st);
+    if (!r.ok()) return r;
+    ++done;
+  }
+  return {};
+}
+
+Result<std::vector<Pfn>> twin_translate_range(const PageTable& pt, Vaddr va, u64 count,
+                                              WalkStats* st) {
+  constexpr u64 kSpan = PageTable::kLargeSpan;
+  if ((va.value() & kPageMask) != 0) return Errc::invalid_argument;
+  std::vector<Pfn> out;
+  u64 i = 0;
+  while (i < count) {
+    auto pte = pt.lookup(va + i * kPageSize, st);
+    if (!pte) return Errc::invalid_argument;
+    if (pte->large) {
+      const u64 off = ((va.value() >> kPageShift) + i) & (kSpan - 1);
+      const u64 run = std::min(count - i, kSpan - off);
+      for (u64 k = 0; k < run; ++k) out.push_back(pte->pfn + k);
+      i += run;
+    } else {
+      out.push_back(pte->pfn);
+      ++i;
+    }
+  }
+  return out;
+}
+
+Result<void> twin_map_range_best(PageTable& pt, Vaddr va, const std::vector<Pfn>& pfns,
+                                 PageFlags flags, WalkStats* st) {
+  constexpr u64 kSpan = PageTable::kLargeSpan;
+  u64 i = 0;
+  while (i < pfns.size()) {
+    const Vaddr cur = va + i * kPageSize;
+    bool large = cur.value() % (kSpan * kPageSize) == 0 &&
+                 pfns[i].value() % kSpan == 0 && pfns.size() - i >= kSpan;
+    for (u64 k = 1; k < kSpan && large; ++k) large = pfns[i + k] == pfns[i] + k;
+    auto r = large ? pt.map_large(cur, pfns[i], flags, st)
+                   : pt.map(cur, pfns[i], flags, st);
+    if (!r.ok()) {
+      (void)twin_unmap_range(pt, va, i, st);
+      return r;
+    }
+    i += large ? kSpan : 1;
+  }
+  return {};
+}
+
+bool same_stats(const WalkStats& a, const WalkStats& b) {
+  return a.entries_visited == b.entries_visited &&
+         a.tables_allocated == b.tables_allocated && a.tables_freed == b.tables_freed;
+}
+
+// Differential: random ranges that straddle leaf tables, 2 MiB windows and
+// a 1 GiB (level-3) boundary, over tables seeded with single-page conflicts,
+// holes and 2 MiB mappings. Every range operation must return what its
+// per-page twin returns and charge identical WalkStats, leaving identical
+// mapped_pages() and table_nodes().
+TEST(PageTableDifferential, RangeOpsMatchPerPageTwin) {
+  constexpr u64 kSpan = PageTable::kLargeSpan;
+  constexpr u64 kWindowPages = 6 * kSpan;
+  const Vaddr base{(1ull << 30) - 2 * kSpan * kPageSize};  // straddles 1 GiB
+  Rng rng(1606);
+  PageTable fast;
+  PageTable twin;
+  u64 range_ok = 0;
+  u64 range_failed = 0;
+  auto random_pfns = [&](u64 n) {
+    std::vector<Pfn> pfns;
+    if (rng.uniform() < 0.3) {  // an aligned contiguous run: 2 MiB candidates
+      const u64 start = (1 + rng.uniform_u64(64)) * kSpan;
+      for (u64 i = 0; i < n; ++i) pfns.push_back(Pfn{start + i});
+    } else {
+      for (u64 i = 0; i < n; ++i) pfns.push_back(Pfn{1 + rng.uniform_u64(1u << 24)});
+    }
+    return pfns;
+  };
+  std::vector<std::pair<Vaddr, u64>> live;  // ranges a range op mapped
+  for (int step = 0; step < 4000; ++step) {
+    const u64 first = rng.uniform_u64(kWindowPages);
+    const u64 cap = rng.uniform() < 0.5 ? 64 : 1100;
+    const u64 max_len = std::min<u64>(kWindowPages - first, cap);
+    u64 len = 1 + rng.uniform_u64(max_len);
+    Vaddr va = base + first * kPageSize;
+    // Large-window ranges start on a 2 MiB boundary now and then.
+    if (rng.uniform() < 0.2) va = Vaddr{va.value() & ~(kSpan * kPageSize - 1)};
+    // Unmaps and translates mostly revisit a range mapped earlier.
+    const bool revisit = !live.empty() && rng.uniform() < 0.6;
+    u64 revisit_at = 0;
+    if (revisit) {
+      revisit_at = rng.uniform_u64(live.size());
+      std::tie(va, len) = live[revisit_at];
+    }
+    if (rng.uniform() < 0.01) va = va + 8;  // misaligned: rejected at page 0
+    WalkStats fs;
+    WalkStats ts;
+    const double dice = rng.uniform();
+    if (dice < 0.04) {
+      // Seed a conflict page.
+      const Pfn pfn{1 + rng.uniform_u64(1u << 20)};
+      ASSERT_EQ(fast.map(va, pfn, PageFlags::none, &fs).error(),
+                twin.map(va, pfn, PageFlags::none, &ts).error());
+    } else if (dice < 0.08) {
+      // Punch a hole.
+      ASSERT_EQ(fast.unmap(va, &fs).error(), twin.unmap(va, &ts).error());
+    } else if (dice < 0.11) {
+      const Vaddr w{va.value() & ~(kSpan * kPageSize - 1)};
+      const Pfn pfn{(1 + rng.uniform_u64(64)) * kSpan};
+      ASSERT_EQ(fast.map_large(w, pfn, PageFlags::writable, &fs).error(),
+                twin.map_large(w, pfn, PageFlags::writable, &ts).error());
+    } else if (dice < 0.31) {
+      const auto pfns = random_pfns(len);
+      const auto r = fast.map_range(va, pfns, PageFlags::writable, &fs);
+      ASSERT_EQ(r.error(),
+                twin_map_range(twin, va, pfns, PageFlags::writable, &ts).error());
+      ++(r.ok() ? range_ok : range_failed);
+      if (r.ok()) live.emplace_back(va, len);
+    } else if (dice < 0.43) {
+      const auto pfns = random_pfns(len);
+      const auto r = fast.map_range_best(va, pfns, PageFlags::writable, &fs);
+      ASSERT_EQ(r.error(),
+                twin_map_range_best(twin, va, pfns, PageFlags::writable, &ts).error());
+      ++(r.ok() ? range_ok : range_failed);
+      if (r.ok()) live.emplace_back(va, len);
+    } else if (dice < 0.50) {
+      const auto pfns = random_pfns(len);
+      ASSERT_EQ(fast.map_prefix(va, pfns, PageFlags::user, &fs),
+                twin_map_prefix(twin, va, pfns, PageFlags::user, &ts));
+    } else if (dice < 0.75) {
+      const auto r = fast.unmap_range(va, len, &fs);
+      ASSERT_EQ(r.error(), twin_unmap_range(twin, va, len, &ts).error());
+      ++(r.ok() ? range_ok : range_failed);
+      if (revisit) {
+        live[revisit_at] = live.back();
+        live.pop_back();
+      }
+    } else {
+      const auto got = fast.translate_range(va, len, &fs);
+      const auto want = twin_translate_range(twin, va, len, &ts);
+      ASSERT_EQ(got.ok(), want.ok());
+      if (got.ok()) ASSERT_EQ(got.value(), want.value());
+      ++(got.ok() ? range_ok : range_failed);
+    }
+    ASSERT_TRUE(same_stats(fs, ts))
+        << "step " << step << ": visited " << fs.entries_visited << " vs "
+        << ts.entries_visited << ", allocated " << fs.tables_allocated << " vs "
+        << ts.tables_allocated << ", freed " << fs.tables_freed << " vs "
+        << ts.tables_freed;
+    ASSERT_EQ(fast.mapped_pages(), twin.mapped_pages()) << "step " << step;
+    ASSERT_EQ(fast.table_nodes(), twin.table_nodes()) << "step " << step;
+    ASSERT_EQ(fast.large_mappings(), twin.large_mappings()) << "step " << step;
+  }
+  // Same contents page by page.
+  for (u64 i = 0; i < kWindowPages; ++i) {
+    const auto a = fast.lookup(base + i * kPageSize);
+    const auto b = twin.lookup(base + i * kPageSize);
+    ASSERT_EQ(a.has_value(), b.has_value()) << "page " << i;
+    if (a) ASSERT_EQ(a->pfn, b->pfn) << "page " << i;
+  }
+  // Both outcomes were exercised often enough to mean something.
+  EXPECT_GT(range_ok, 300u);
+  EXPECT_GT(range_failed, 300u);
 }
 
 // ----------------------------------------------------------------- PfnList

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -128,6 +129,63 @@ TEST(RbTreeProperty, DifferentialAgainstStdMap) {
   ASSERT_EQ(t.size(), oracle.size());
 }
 
+// Fixed-seed op sequence: an ascending attach-style fill, random churn
+// over a 4096-key space, then an ascending drain.
+RbOpStats run_fixed_sequence(RbTree<u64, u64>& t) {
+  RbOpStats total;
+  for (u64 k = 0; k < 3000; ++k) (void)t.insert(100000 + k, k, &total);
+  Rng rng(1616);
+  for (int step = 0; step < 40000; ++step) {
+    const u64 k = rng.uniform_u64(4096);
+    const double dice = rng.uniform();
+    if (dice < 0.45) {
+      (void)t.insert(k, step, &total);
+    } else if (dice < 0.85) {
+      (void)t.erase(k, &total);
+    } else {
+      (void)t.floor(k, &total);
+    }
+  }
+  for (u64 k = 0; k < 3000; ++k) (void)t.erase(100000 + k, &total);
+  return total;
+}
+
+// The node pool must not change the algorithm: these totals were recorded
+// with the tree allocating each node with new/delete.
+TEST(RbTree, OpStatsPinnedForFixedSequence) {
+  RbTree<u64, u64> t;
+  const RbOpStats s = run_fixed_sequence(t);
+  EXPECT_EQ(s.nodes_visited, 706644u);
+  EXPECT_EQ(s.rotations, 11752u);
+  EXPECT_EQ(s.recolorings, 48596u);
+  EXPECT_EQ(t.size(), 2138u);
+  EXPECT_TRUE(t.validate());
+}
+
+// Erased nodes are reused: churn at a steady size allocates no new blocks.
+TEST(RbTree, PoolBlocksStayFlatUnderSteadyChurn) {
+  RbTree<u64, u64> t;
+  Rng rng(7);
+  std::vector<u64> keys;
+  for (u64 i = 0; i < 5000; ++i) {
+    keys.push_back(rng.next());
+    ASSERT_TRUE(t.insert(keys.back(), i).second);
+  }
+  const u64 blocks = t.pool_blocks();
+  EXPECT_GT(blocks, 0u);
+  for (int step = 0; step < 50000; ++step) {
+    const u64 pick = rng.uniform_u64(keys.size());
+    ASSERT_TRUE(t.erase(keys[pick]));
+    keys[pick] = rng.next();
+    ASSERT_TRUE(t.insert(keys[pick], static_cast<u64>(step)).second);
+  }
+  EXPECT_EQ(t.size(), 5000u);
+  EXPECT_EQ(t.pool_blocks(), blocks);
+  EXPECT_TRUE(t.validate());
+  t.clear();
+  EXPECT_EQ(t.pool_blocks(), 0u);
+}
+
 // ----------------------------------------------------------- GuestMemoryMap
 
 class MemoryMapTest : public ::testing::TestWithParam<MapBackend> {};
@@ -204,6 +262,54 @@ TEST(MemoryMapCost, RadixInsertsAreCheaperThanRbAtScale) {
       << "rb-tree descent+rebalance should dwarf radix constant work";
   EXPECT_GT(rb_work.rotations, 0u);
   EXPECT_EQ(rx_work.rotations, 0u);
+}
+
+// translate_frames walks the tree once per region but must charge what one
+// translate() per page charges, across regions and up to an unmapped gfn.
+TEST(MemoryMapCost, TranslateFramesChargesPerPageWalks) {
+  for (MapBackend backend : {MapBackend::rbtree, MapBackend::radix}) {
+    GuestMemoryMap m(backend);
+    // Two adjacent multi-page regions, then single-page entries.
+    ASSERT_TRUE(m.insert_region(Gfn{100}.paddr(), HostPaddr{1_MiB}, 40 * kPageSize).ok());
+    ASSERT_TRUE(m.insert_region(Gfn{140}.paddr(), HostPaddr{8_MiB}, 24 * kPageSize).ok());
+    for (u64 i = 0; i < 200; ++i) {
+      ASSERT_TRUE(
+          m.insert_region(Gfn{300 + i}.paddr(), HostPaddr{(64 + 3 * i) * kPageSize},
+                          kPageSize)
+              .ok());
+    }
+    auto per_page = [&](const std::vector<Gfn>& gfns, MapWork& w) {
+      std::vector<Pfn> out;
+      for (Gfn g : gfns) {
+        auto hpa = m.translate(g.paddr(), &w);
+        if (!hpa) return false;
+        out.push_back(Pfn::of(*hpa));
+      }
+      auto got = m.translate_frames(gfns);
+      return got.ok() && got.value().pfns == out;
+    };
+    std::vector<Gfn> run;  // spans both regions, back and forth, then singles
+    for (u64 g = 120; g < 164; ++g) run.push_back(Gfn{g});
+    for (u64 g = 139; g > 130; --g) run.push_back(Gfn{g});
+    for (u64 g = 300; g < 500; ++g) run.push_back(Gfn{g});
+    MapWork fast;
+    MapWork slow;
+    ASSERT_TRUE(m.translate_frames(run, &fast).ok());
+    ASSERT_TRUE(per_page(run, slow));
+    EXPECT_EQ(fast.steps, slow.steps);
+    EXPECT_GT(fast.steps, run.size());
+
+    // An unmapped gfn (between the regions and the singles) fails the call;
+    // the charge still matches the per-page loop up to and including it.
+    std::vector<Gfn> holey(run.begin(), run.begin() + 50);
+    holey.push_back(Gfn{200});
+    holey.push_back(Gfn{301});
+    MapWork fast_err;
+    MapWork slow_err;
+    EXPECT_FALSE(m.translate_frames(holey, &fast_err).ok());
+    EXPECT_FALSE(per_page(holey, slow_err));
+    EXPECT_EQ(fast_err.steps, slow_err.steps);
+  }
 }
 
 // -------------------------------------------------------------- PalaciosVm
