@@ -66,14 +66,14 @@ BENCHMARK(BM_RbTreeFind)->Range(1 << 10, 1 << 18);
 
 void BM_PageTableMapRange(benchmark::State& state) {
   const u64 pages = static_cast<u64>(state.range(0));
-  std::vector<Pfn> pfns;
-  for (u64 i = 0; i < pages; ++i) pfns.push_back(Pfn{i * 2});
+  mm::PfnList frames;  // scattered: one run per page
+  for (u64 i = 0; i < pages; ++i) frames.push_back(Pfn{i * 2});
   for (auto _ : state) {
     state.PauseTiming();
     mm::PageTable pt;
     state.ResumeTiming();
     benchmark::DoNotOptimize(
-        pt.map_range(Vaddr{0x10000000}, pfns, mm::PageFlags::writable).ok());
+        pt.map_range(Vaddr{0x10000000}, frames, mm::PageFlags::writable).ok());
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(pages));
@@ -83,9 +83,9 @@ BENCHMARK(BM_PageTableMapRange)->Range(1 << 10, 1 << 16);
 void BM_PageTableTranslateRange(benchmark::State& state) {
   const u64 pages = static_cast<u64>(state.range(0));
   mm::PageTable pt;
-  std::vector<Pfn> pfns;
-  for (u64 i = 0; i < pages; ++i) pfns.push_back(Pfn{i * 2});
-  (void)pt.map_range(Vaddr{0x10000000}, pfns, mm::PageFlags::writable);
+  mm::PfnList frames;
+  for (u64 i = 0; i < pages; ++i) frames.push_back(Pfn{i * 2});
+  (void)pt.map_range(Vaddr{0x10000000}, frames, mm::PageFlags::writable);
   for (auto _ : state) {
     auto r = pt.translate_range(Vaddr{0x10000000}, pages);
     benchmark::DoNotOptimize(r.ok());
@@ -145,14 +145,14 @@ BENCHMARK(BM_FrameZoneAlignedAlloc);
 
 void BM_PageTableMapRangeBest_Large(benchmark::State& state) {
   const u64 pages = static_cast<u64>(state.range(0));
-  std::vector<Pfn> pfns;
-  for (u64 i = 0; i < pages; ++i) pfns.push_back(Pfn{1 << 20} + i);
+  mm::PfnList frames;
+  frames.append(hw::FrameExtent{Pfn{1 << 20}, pages});
   for (auto _ : state) {
     state.PauseTiming();
     mm::PageTable pt;
     state.ResumeTiming();
     benchmark::DoNotOptimize(
-        pt.map_range_best(Vaddr{0x40000000}, pfns, mm::PageFlags::writable).ok());
+        pt.map_range_best(Vaddr{0x40000000}, frames, mm::PageFlags::writable).ok());
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(pages));

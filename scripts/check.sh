@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: tier-1 build + tests, a golden diff of the paper
-# harnesses' simulated outputs, then the same suite under
+# harnesses' simulated outputs and of the simulated-only ablation JSONs
+# against their committed BENCH_*.json, then the same suite under
 # AddressSanitizer/UBSan (catches lifetime bugs the coroutine-heavy
 # simulator is prone to), plus optional standalone UBSan and TSan legs.
 # The TSan leg runs the suite twice: once with the default serial engine
@@ -94,21 +95,26 @@ if [[ $asan_only -eq 0 ]]; then
   run_timed "collectives_scaling" \
     ./build/bench/collectives_scaling --quick --json build/collectives_scaling.json
 
-  echo "== attach fast-path ablation smoke =="
-  run_timed "ablation_attach_path" \
-    ./build/bench/ablation_attach_path --quick --json build/attach_path.json
-  cp build/attach_path.json BENCH_attach_path.json
+  echo "== simulated-only ablation smokes against the committed BENCH files =="
+  # The attach fast-path, sharded name-service, capability and fabric-fault
+  # ablations emit only simulated results, so each --quick JSON must equal
+  # its committed BENCH_*.json byte for byte; any difference means simulated
+  # outputs moved. They run before ablation_sim_engine, whose wall-clock
+  # gate can stop the script. A change that means to move the model
+  # regenerates a file the same way:
+  #   build/bench/ablation_$b --quick --json BENCH_$b.json
+  bench_failed=0
+  for b in attach_path ns_shard capability fabric_fault; do
+    run_timed "ablation_${b}" \
+      ./build/bench/ablation_"$b" --quick --json build/"$b".json
+    diff -u BENCH_"$b".json build/"$b".json || bench_failed=1
+  done
+  if [[ $bench_failed -ne 0 ]]; then
+    echo "bench: simulated outputs differ from BENCH_*.json" >&2
+    exit 1
+  fi
 
-  echo "== sharded name-service churn-storm smoke =="
-  run_timed "ablation_ns_shard" \
-    ./build/bench/ablation_ns_shard --quick --json build/ns_shard.json
-  cp build/ns_shard.json BENCH_ns_shard.json
-
-  echo "== capability revocation ablation smoke =="
-  run_timed "ablation_capability" \
-    ./build/bench/ablation_capability --quick --json build/capability.json
-  cp build/capability.json BENCH_capability.json
-
+  # These two JSONs hold wall-clock fields, so the smoke refreshes them.
   echo "== burst-buffer I/O cache ablation smoke =="
   run_timed "ablation_iocache" \
     ./build/bench/ablation_iocache --quick --json build/iocache.json
@@ -118,11 +124,6 @@ if [[ $asan_only -eq 0 ]]; then
   run_timed "ablation_sim_engine" \
     ./build/bench/ablation_sim_engine --quick --json build/sim_engine.json
   cp build/sim_engine.json BENCH_sim_engine.json
-
-  echo "== fabric fault-injection ablation smoke =="
-  run_timed "ablation_fabric_fault" \
-    ./build/bench/ablation_fabric_fault --quick --json build/fabric_fault.json
-  cp build/fabric_fault.json BENCH_fabric_fault.json
 fi
 
 # The sanitizer smokes below only check that the benches run clean: their
@@ -149,13 +150,13 @@ if [[ $fast -eq 0 ]]; then
   echo "== burst-buffer I/O cache ablation smoke (asan) =="
   ./build-asan/bench/ablation_iocache --quick --json build-asan/iocache.json
 
-  echo "== parallel discrete-event engine ablation smoke (asan) =="
-  run_timed "ablation_sim_engine (asan)" \
-    ./build-asan/bench/ablation_sim_engine --quick --json build-asan/sim_engine.json
-
   echo "== fabric fault-injection ablation smoke (asan) =="
   run_timed "ablation_fabric_fault (asan)" \
     ./build-asan/bench/ablation_fabric_fault --quick --json build-asan/fabric_fault.json
+
+  echo "== parallel discrete-event engine ablation smoke (asan) =="
+  run_timed "ablation_sim_engine (asan)" \
+    ./build-asan/bench/ablation_sim_engine --quick --json build-asan/sim_engine.json
 fi
 
 echo "all checks passed"

@@ -82,9 +82,6 @@ void FrameZone::free(FrameExtent ext) {
   XEMEM_ASSERT(ext.count > 0);
   XEMEM_ASSERT_MSG(owns(ext.start) && owns(ext.start + (ext.count - 1)),
                    "free of frames outside zone");
-  for (u64 i = 0; i < ext.count; ++i) {
-    XEMEM_ASSERT_MSG(refcount(ext.start + i) == 0, "free of still-referenced frame");
-  }
   // Insert and coalesce with neighbors.
   auto [it, inserted] = free_.emplace(ext.start.value(), ext.count);
   XEMEM_ASSERT_MSG(inserted, "double free of frame extent");

@@ -45,6 +45,8 @@ enum class AllocPolicy {
 struct FrameExtent {
   Pfn start;
   u64 count;
+
+  bool operator==(const FrameExtent&) const = default;
 };
 
 /// Physical memory of one NUMA zone: extent-based allocator + frame table.
@@ -72,28 +74,9 @@ class FrameZone {
   /// @p align_frames (2 MiB large-page mappings need 512-frame alignment).
   Result<FrameExtent> alloc_contiguous_aligned(u64 count, u64 align_frames);
 
-  /// Release one extent. Frames must be allocated and unreferenced.
+  /// Release one extent. Frames must be allocated. Pins live in
+  /// PhysicalMemory; Enclave::destroy_process checks them before freeing.
   void free(FrameExtent ext);
-
-  /// Share/pin refcounting. A frame may be freed only at refcount 0;
-  /// alloc() sets refcount 0 (owner's allocation is tracked separately).
-  void ref(Pfn pfn) { ++refcounts_[pfn.value()]; }
-  void unref(Pfn pfn) {
-    auto it = refcounts_.find(pfn.value());
-    XEMEM_ASSERT_MSG(it != refcounts_.end() && it->second > 0,
-                     "unref of unreferenced frame");
-    if (--it->second == 0) refcounts_.erase(it);
-  }
-  u64 refcount(Pfn pfn) const {
-    auto it = refcounts_.find(pfn.value());
-    return it == refcounts_.end() ? 0 : it->second;
-  }
-  /// Total outstanding share references (leak checking in tests).
-  u64 total_refs() const {
-    u64 n = 0;
-    for (auto& [pfn, c] : refcounts_) n += c;
-    return n;
-  }
 
   bool owns(Pfn pfn) const {
     return pfn >= base_ && pfn.value() < base_.value() + frames_;
@@ -107,7 +90,6 @@ class FrameZone {
   // Free extents keyed by start frame number -> length. Adjacent extents are
   // coalesced on free.
   std::map<u64, u64> free_;
-  std::unordered_map<u64, u64> refcounts_;
   u64 scatter_cursor_{0};
 };
 

@@ -97,38 +97,45 @@ PageTable::Node* PageTable::make_leaf(Vaddr va, WalkStats& st) {
   return node;
 }
 
-u64 PageTable::map_run(Vaddr va, std::span<const Pfn> pfns, PageFlags flags,
-                       WalkStats& st) {
+u64 PageTable::map_runs(Vaddr va, std::span<const hw::FrameExtent> runs,
+                        PageFlags flags, WalkStats& st) {
   if ((va.value() & kPageMask) != 0) return 0;
   u64 done = 0;
-  while (done < pfns.size()) {
-    const Vaddr cur = va + done * kPageSize;
-    Node* leaf = make_leaf(cur, st);
-    if (!leaf) break;
-    // A taken slot means the leaf already existed, so make_leaf created
-    // nothing that the per-page map() of the prefix would not have.
-    const u32 first = index_at(cur, 1);
-    const u64 n = std::min<u64>(pfns.size() - done, kLargeSpan - first);
-    u64 k = 0;
-    for (; k < n && !(leaf->pte[first + k] & kPresent); ++k) {
-      leaf->pte[first + k] = encode(pfns[done + k], flags);
+  Node* leaf = nullptr;
+  for (const auto& run : runs) {
+    for (u64 k = 0; k < run.count;) {
+      const Vaddr cur = va + done * kPageSize;
+      const u32 first = index_at(cur, 1);
+      // Pages are consecutive, so the sweep enters a new leaf at slot 0.
+      if (leaf == nullptr || first == 0) {
+        leaf = make_leaf(cur, st);
+        if (!leaf) return done;
+      }
+      // A taken slot means the leaf already existed, so make_leaf created
+      // nothing that the per-page map() of the prefix would not have.
+      const u64 n = std::min<u64>(run.count - k, kLargeSpan - first);
+      u64 j = 0;
+      for (; j < n && !(leaf->pte[first + j] & kPresent); ++j) {
+        leaf->pte[first + j] = encode(run.start + (k + j), flags);
+      }
+      leaf->used = static_cast<u16>(leaf->used + j);
+      mapped_ += j;
+      st.entries_visited += kLevels * j;
+      done += j;
+      k += j;
+      if (j < n) return done;
     }
-    leaf->used = static_cast<u16>(leaf->used + k);
-    mapped_ += k;
-    st.entries_visited += kLevels * k;
-    done += k;
-    if (k < n) break;
   }
   return done;
 }
 
-Result<void> PageTable::map_range(Vaddr va, const std::vector<Pfn>& pfns,
-                                  PageFlags flags, WalkStats* stats) {
+Result<void> PageTable::map_range(Vaddr va, const PfnList& frames, PageFlags flags,
+                                  WalkStats* stats) {
   WalkStats local;
-  const u64 done = map_run(va, pfns, flags, local);
+  const u64 done = map_runs(va, frames.runs(), flags, local);
   Result<void> r;
-  if (done < pfns.size()) {
-    r = map(va + done * kPageSize, pfns[done], flags, &local);
+  if (done < frames.page_count()) {
+    r = map(va + done * kPageSize, frames.at(done), flags, &local);
     // Roll back the partial mapping so failures leave no residue.
     for (u64 j = 0; j < done; ++j) (void)unmap(va + j * kPageSize, &local);
   }
@@ -136,11 +143,13 @@ Result<void> PageTable::map_range(Vaddr va, const std::vector<Pfn>& pfns,
   return r;
 }
 
-u64 PageTable::map_prefix(Vaddr va, std::span<const Pfn> pfns, PageFlags flags,
+u64 PageTable::map_prefix(Vaddr va, const PfnList& frames, PageFlags flags,
                           WalkStats* stats) {
   WalkStats local;
-  const u64 done = map_run(va, pfns, flags, local);
-  if (done < pfns.size()) (void)map(va + done * kPageSize, pfns[done], flags, &local);
+  const u64 done = map_runs(va, frames.runs(), flags, local);
+  if (done < frames.page_count()) {
+    (void)map(va + done * kPageSize, frames.at(done), flags, &local);
+  }
   if (stats) *stats += local;
   return done;
 }
@@ -300,11 +309,10 @@ std::optional<PteView> PageTable::lookup(Vaddr va, WalkStats* stats) const {
   return out;
 }
 
-Result<std::vector<Pfn>> PageTable::translate_range(Vaddr va, u64 count,
-                                                    WalkStats* stats) const {
+Result<PfnList> PageTable::translate_range(Vaddr va, u64 count,
+                                           WalkStats* stats) const {
   if ((va.value() & kPageMask) != 0) return Errc::invalid_argument;
-  std::vector<Pfn> out;
-  out.reserve(count);
+  PfnList out;
   WalkStats local;
   u64 i = 0;
   while (i < count) {
@@ -327,12 +335,12 @@ Result<std::vector<Pfn>> PageTable::translate_range(Vaddr va, u64 count,
       return Errc::invalid_argument;
     }
     if (pte->large) {
-      // One walk resolves the whole 2 MiB window: enumerate the covered
-      // frames without re-walking per page (this is where large-page
+      // One walk resolves the whole 2 MiB window: append the covered frames
+      // as one run without re-walking per page (this is where large-page
       // exports collapse the PFN-list generation cost).
       const u64 off = ((va.value() >> kPageShift) + i) & (kLargeSpan - 1);
       const u64 run = std::min(count - i, kLargeSpan - off);
-      for (u64 k = 0; k < run; ++k) out.push_back(pte->pfn + k);
+      out.append(hw::FrameExtent{pte->pfn, run});
       i += run;
     } else {
       out.push_back(pte->pfn);
@@ -343,38 +351,36 @@ Result<std::vector<Pfn>> PageTable::translate_range(Vaddr va, u64 count,
   return out;
 }
 
-Result<void> PageTable::map_range_best(Vaddr va, const std::vector<Pfn>& pfns,
+Result<void> PageTable::map_range_best(Vaddr va, const PfnList& frames,
                                        PageFlags flags, WalkStats* stats) {
   WalkStats local;
   Result<void> r;
-  u64 i = 0;
-  while (i < pfns.size()) {
-    const Vaddr cur = va + i * kPageSize;
-    const bool aligned = cur.value() % (kLargeSpan * kPageSize) == 0 &&
-                         pfns[i].value() % kLargeSpan == 0 &&
-                         pfns.size() - i >= kLargeSpan;
-    bool contiguous = aligned;
-    if (aligned) {
-      for (u64 k = 1; k < kLargeSpan && contiguous; ++k) {
-        contiguous = pfns[i + k].value() == pfns[i].value() + k;
+  u64 i = 0;  // pages installed so far
+  for (const auto& run : frames.runs()) {
+    u64 o = 0;  // offset inside the run
+    while (o < run.count && r.ok()) {
+      const Vaddr cur = va + i * kPageSize;
+      const Pfn pfn = run.start + o;
+      // Runs are maximal, so 512 frames left in this run is exactly "the
+      // next 512 frames of the list are contiguous".
+      if (cur.value() % (kLargeSpan * kPageSize) == 0 &&
+          pfn.value() % kLargeSpan == 0 && run.count - o >= kLargeSpan) {
+        r = map_large(cur, pfn, flags, &local);
+        if (!r.ok()) break;
+        i += kLargeSpan;
+        o += kLargeSpan;
+        continue;
       }
+      // 4 KiB pages up to the next 2 MiB boundary, where a large mapping may
+      // start again, or to the end of the run: one leaf.
+      const hw::FrameExtent piece{
+          pfn, std::min<u64>(run.count - o, kLargeSpan - index_at(cur, 1))};
+      const u64 k = map_runs(cur, std::span(&piece, 1), flags, local);
+      i += k;
+      o += k;
+      if (k < piece.count) r = map(cur + k * kPageSize, pfn + k, flags, &local);
     }
-    if (contiguous) {
-      r = map_large(cur, pfns[i], flags, &local);
-      if (!r.ok()) break;
-      i += kLargeSpan;
-      continue;
-    }
-    // 4 KiB pages up to the next 2 MiB boundary, where a large mapping may
-    // start again: one leaf.
-    const u64 stretch = std::min<u64>(pfns.size() - i, kLargeSpan - index_at(cur, 1));
-    const u64 k = map_run(cur, std::span(pfns).subspan(i, stretch), flags, local);
-    i += k;
-    if (k < stretch) {
-      r = map(va + i * kPageSize, pfns[i], flags, &local);
-      if (!r.ok()) break;
-      ++i;
-    }
+    if (!r.ok()) break;
   }
   if (!r.ok()) (void)unmap_range(va, i, &local);  // roll back what we installed
   if (stats) *stats += local;

@@ -28,11 +28,11 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "common/assert.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
+#include "mm/pfn_list.hpp"
 
 namespace xemem::mm {
 
@@ -96,22 +96,24 @@ class PageTable {
   /// Remove a large mapping installed by map_large.
   Result<void> unmap_large(Vaddr va, WalkStats* stats = nullptr);
 
-  /// Map @p count consecutive pages starting at @p va to the given frames.
-  Result<void> map_range(Vaddr va, const std::vector<Pfn>& pfns, PageFlags flags,
+  /// Map the pages of @p frames in order starting at @p va. On a conflict
+  /// nothing stays mapped.
+  Result<void> map_range(Vaddr va, const PfnList& frames, PageFlags flags,
                          WalkStats* stats = nullptr);
 
-  /// Map pfns in order at @p va, stopping at the first page map() rejects
-  /// and keeping what was installed (first-touch fault-in). Returns the
-  /// pages mapped; @p stats include the rejected attempt, as a per-page
+  /// Map @p frames in order at @p va, stopping at the first page map()
+  /// rejects and keeping what was installed (first-touch fault-in). Returns
+  /// the pages mapped; @p stats include the rejected attempt, as a per-page
   /// loop's would.
-  u64 map_prefix(Vaddr va, std::span<const Pfn> pfns, PageFlags flags,
+  u64 map_prefix(Vaddr va, const PfnList& frames, PageFlags flags,
                  WalkStats* stats = nullptr);
 
-  /// Like map_range, but uses 2 MiB large mappings wherever the VA and a
-  /// 512-frame run of the PFN list are suitably aligned and contiguous,
-  /// falling back to 4 KiB pages elsewhere.
-  Result<void> map_range_best(Vaddr va, const std::vector<Pfn>& pfns,
-                              PageFlags flags, WalkStats* stats = nullptr);
+  /// Like map_range, but uses a 2 MiB large mapping at every 2 MiB-aligned
+  /// VA whose frame is 512-aligned with at least 512 frames left in its
+  /// run, and 4 KiB pages elsewhere. Runs are maximal, so this finds every
+  /// 512-frame contiguous aligned window of the list.
+  Result<void> map_range_best(Vaddr va, const PfnList& frames, PageFlags flags,
+                              WalkStats* stats = nullptr);
 
   /// Remove the mapping at @p va, reclaiming empty paging structures.
   Result<void> unmap(Vaddr va, WalkStats* stats = nullptr);
@@ -124,8 +126,8 @@ class PageTable {
 
   /// Generate the PFN list for pages [va, va + count*4K) — the core of
   /// XEMEM's attachment servicing. Every page must be present.
-  Result<std::vector<Pfn>> translate_range(Vaddr va, u64 count,
-                                           WalkStats* stats = nullptr) const;
+  Result<PfnList> translate_range(Vaddr va, u64 count,
+                                  WalkStats* stats = nullptr) const;
 
   /// Number of present 4 KiB-equivalent mappings (a large mapping counts
   /// as kLargeSpan).
@@ -165,9 +167,11 @@ class PageTable {
   /// in @p st). nullptr if a 2 MiB mapping covers @p va; then nothing was
   /// created.
   Node* make_leaf(Vaddr va, WalkStats& st);
-  /// Map pfns[0, n) at @p va leaf by leaf, stopping before the first page
-  /// that map() would reject. Returns the pages mapped.
-  u64 map_run(Vaddr va, std::span<const Pfn> pfns, PageFlags flags, WalkStats& st);
+  /// Map the frames of @p runs in order at @p va, walking to each leaf once,
+  /// and stop before the first page that map() would reject. Returns the
+  /// pages mapped.
+  u64 map_runs(Vaddr va, std::span<const hw::FrameExtent> runs, PageFlags flags,
+               WalkStats& st);
   /// Unmap the present pages at the front of [va, va + n*4K) inside one
   /// leaf, reclaiming emptied tables as unmap() would. Returns the pages
   /// unmapped (0 if the first page is absent or in a 2 MiB mapping).

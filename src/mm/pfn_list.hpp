@@ -1,4 +1,4 @@
-// PFN lists: the payload of XEMEM attachment responses.
+// PFN lists: the frames XEMEM attachment responses carry.
 //
 // When an enclave services a remote attachment it walks page tables and
 // produces the list of physical frames backing the exported region (paper
@@ -6,12 +6,17 @@
 // channel — its wire size determines the channel transfer cost — and the
 // attaching enclave maps it page by page.
 //
-// Extent compression matters for the Palacios memory map: a contiguous
-// Kitten export compresses to a single extent (one red-black-tree entry),
-// while a scattered Linux export stays one entry per page, which is
-// exactly the overhead the paper quantifies in section 5.4.
+// The list is held as maximal runs of consecutive frames: appending a frame
+// or run that continues the last run extends it, so no two neighbouring
+// runs are adjacent. A contiguous Kitten export is one run; a scattered
+// Linux export stays many short runs. Simulated costs are still charged
+// per page (4 entries per PTE, one Palacios memory-map insert per host
+// page, 8 B per page on the wire); the runs only decide the host work and,
+// with extent encoding, which wire size a message is charged.
 #pragma once
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -20,72 +25,77 @@
 
 namespace xemem::mm {
 
-/// A flat page-frame list with helpers for wire-size accounting and
-/// extent compression.
-struct PfnList {
-  /// Bytes one extent occupies on a channel: 8 B start frame + 4 B run
+/// An ordered frame list stored as maximal runs, with wire-size accounting.
+class PfnList {
+ public:
+  /// Bytes one run occupies on a channel: 8 B start frame + 4 B run
   /// length (run lengths never exceed an enclave's frame count, which fits
   /// 32 bits for any machine this simulates).
   static constexpr u64 kExtentWireBytes = 12;
 
-  std::vector<Pfn> pfns;
-
-  u64 page_count() const { return pfns.size(); }
-  u64 byte_span() const { return pfns.size() * kPageSize; }
-
-  /// Bytes this list occupies on a channel (8 bytes per entry, matching
-  /// the u64 frame numbers the real implementation ships).
-  u64 wire_bytes() const { return pfns.size() * sizeof(u64); }
-
-  /// Number of maximal contiguous runs, without materializing them.
-  u64 extent_count() const {
-    u64 n = 0;
-    for (size_t i = 0; i < pfns.size(); ++i) {
-      if (i == 0 || pfns[i - 1].value() + 1 != pfns[i].value()) ++n;
-    }
-    return n;
+  PfnList() = default;
+  /// The frames of @p runs in order (adjacent runs merge).
+  explicit PfnList(std::span<const hw::FrameExtent> runs) {
+    for (const auto& r : runs) append(r);
   }
 
-  /// Bytes the extent encoding of this list would occupy on a channel.
-  /// Counts runs in place so benches can report both encodings without
-  /// materializing the list twice.
-  u64 extent_wire_bytes() const { return extent_count() * kExtentWireBytes; }
+  /// Append @p run, extending the last run if it continues it.
+  void append(hw::FrameExtent run) {
+    if (run.count == 0) return;
+    if (!runs_.empty() && runs_.back().start + runs_.back().count == run.start) {
+      runs_.back().count += run.count;
+    } else {
+      runs_.push_back(run);
+    }
+    pages_ += run.count;
+  }
+  void push_back(Pfn pfn) { append(hw::FrameExtent{pfn, 1}); }
 
-  /// Collapse runs of consecutive frames into extents.
-  std::vector<hw::FrameExtent> extents() const {
-    std::vector<hw::FrameExtent> out;
-    out.reserve(extent_count());
-    for (Pfn p : pfns) {
-      if (!out.empty() && out.back().start.value() + out.back().count == p.value()) {
-        ++out.back().count;
-      } else {
-        out.push_back(hw::FrameExtent{p, 1});
+  const std::vector<hw::FrameExtent>& runs() const { return runs_; }
+  u64 run_count() const { return runs_.size(); }
+  u64 page_count() const { return pages_; }
+  u64 byte_span() const { return pages_ * kPageSize; }
+
+  /// Bytes of the flat encoding on a channel (8 B per page, matching the
+  /// u64 frame numbers the real implementation ships).
+  u64 wire_bytes() const { return pages_ * sizeof(u64); }
+  /// Bytes of the extent encoding on a channel (12 B per run).
+  u64 extent_wire_bytes() const { return runs_.size() * kExtentWireBytes; }
+
+  /// Frame of page @p page (a scan over the runs: for error paths and tests).
+  Pfn at(u64 page) const {
+    XEMEM_ASSERT(page < pages_);
+    for (const auto& r : runs_) {
+      if (page < r.count) return r.start + page;
+      page -= r.count;
+    }
+    XEMEM_PANIC("page index past the list");
+  }
+
+  /// Pages [first, first + count) of this list (attachment reuse and lazy
+  /// fault-in map sub-windows of an already-fetched frame list).
+  PfnList slice(u64 first, u64 count) const {
+    XEMEM_ASSERT(first + count <= pages_);
+    PfnList out;
+    for (const auto& r : runs_) {
+      if (count == 0) break;
+      if (first >= r.count) {
+        first -= r.count;
+        continue;
       }
+      const u64 take = std::min(count, r.count - first);
+      out.append(hw::FrameExtent{r.start + first, take});
+      count -= take;
+      first = 0;
     }
     return out;
   }
 
-  /// Copy of pages [first, first + count) of this list (attachment reuse
-  /// maps sub-windows of an already-fetched frame list).
-  PfnList slice(u64 first, u64 count) const {
-    XEMEM_ASSERT(first + count <= pfns.size());
-    PfnList l;
-    l.pfns.assign(pfns.begin() + static_cast<long>(first),
-                  pfns.begin() + static_cast<long>(first + count));
-    return l;
-  }
+  bool operator==(const PfnList&) const = default;
 
-  /// Expand extents back to a flat list (inverse of extents()).
-  static PfnList from_extents(const std::vector<hw::FrameExtent>& exts) {
-    PfnList l;
-    u64 total = 0;
-    for (const auto& e : exts) total += e.count;
-    l.pfns.reserve(total);
-    for (auto e : exts) {
-      for (u64 i = 0; i < e.count; ++i) l.pfns.push_back(e.start + i);
-    }
-    return l;
-  }
+ private:
+  std::vector<hw::FrameExtent> runs_;
+  u64 pages_{0};
 };
 
 }  // namespace xemem::mm

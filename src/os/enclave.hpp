@@ -72,9 +72,18 @@ class Enclave {
   virtual Result<Process*> create_process(u64 image_bytes,
                                           hw::Core* core = nullptr) = 0;
 
-  /// Tear down a process, returning its frames to the enclave pool.
+  /// Tear down a process, returning its frames to the enclave pool. No
+  /// frame may still be pinned for an attachment.
   void destroy_process(Process* p) {
-    for (auto e : p->owned_frames()) frames_.free(e);
+    const auto& pm = machine_.pmem();
+    for (auto e : p->owned_frames()) {
+      for (u64 i = 0; i < e.count; ++i) {
+        auto host = frame_to_host(e.start + i);
+        XEMEM_ASSERT_MSG(!host.ok() || pm.refcount(host.value()) == 0,
+                         "free of still-referenced frame");
+      }
+      frames_.free(e);
+    }
     procs_.erase(p->pid());
   }
 
@@ -95,25 +104,15 @@ class Enclave {
                                                                u64 pages) = 0;
 
   /// Attach-side mapping: install @p host_frames into @p attacher's
-  /// address space with the local OS's facilities. @p lazy selects the
-  /// single-OS Linux fault-semantics path (mapping deferred to first
-  /// touch; see touch_attached). @p writable false maps the pages
-  /// read-only (XPMEM read-only grants). Returns the attachment's base VA.
+  /// address space with the local OS's facilities, run by run (Kitten
+  /// picks 2 MiB entries per suitably aligned run in large-page mode).
+  /// @p lazy selects the single-OS Linux fault-semantics path (mapping
+  /// deferred to first touch; see touch_attached). @p writable false maps
+  /// the pages read-only (XPMEM read-only grants). Returns the
+  /// attachment's base VA.
   virtual sim::Task<Result<Vaddr>> map_attachment(Process& attacher,
                                                   const mm::PfnList& host_frames,
                                                   bool lazy, bool writable) = 0;
-
-  /// Extent-aware attach-side mapping: like map_attachment, but consumes
-  /// the wire's extent-compressed frame runs directly. The base
-  /// implementation expands to a flat list; native personalities override
-  /// to map run-at-a-time without materializing per-page PFNs (and Kitten
-  /// picks 2 MiB entries per suitably aligned run in large-page mode).
-  virtual sim::Task<Result<Vaddr>> map_attachment_extents(
-      Process& attacher, const std::vector<hw::FrameExtent>& extents, bool lazy,
-      bool writable) {
-    co_return co_await map_attachment(
-        attacher, mm::PfnList::from_extents(extents), lazy, writable);
-  }
 
   /// First-touch of an attached range (demand-fault charges where the
   /// personality maps lazily; no-op otherwise).

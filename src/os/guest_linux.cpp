@@ -11,9 +11,8 @@ Result<Process*> GuestLinuxEnclave::create_process(u64 image_bytes, hw::Core* co
   auto proc = std::make_unique<Process>(next_pid(), this, pick_core(core));
   Process* p = proc.get();
   const Vaddr base = p->alloc_va(image_bytes);
-  const auto list = mm::PfnList::from_extents(fr.value());
-  auto mapped = p->pt().map_range(
-      base, list.pfns, mm::PageFlags::writable | mm::PageFlags::user);
+  auto mapped = p->pt().map_range(base, mm::PfnList(fr.value()),
+                                  mm::PageFlags::writable | mm::PageFlags::user);
   if (!mapped.ok()) {
     for (auto e : fr.value()) frames().free(e);
     return mapped.error();
@@ -42,14 +41,11 @@ sim::Task<Result<mm::PfnList>> GuestLinuxEnclave::service_make_pfn_list(
 
   // Stage the guest frame list through the PCI device and hypercall out
   // (Figure 4(b), steps 1-2).
-  std::vector<Gfn> gfns;
-  gfns.reserve(gframes.value().size());
-  for (Pfn f : gframes.value()) gfns.push_back(Gfn{f.value()});
-  co_await pci_stage(gfns.size() * sizeof(u64), service_core(), host_core_);
+  co_await pci_stage(gframes.value().wire_bytes(), service_core(), host_core_);
 
   // Host side: Palacios walks the memory map per page (steps 3-4).
   palacios::MapWork work;
-  auto host = vm_.guest_to_host(gfns, &work);
+  auto host = vm_.guest_to_host(gframes.value(), &work);
   if (!host.ok()) co_return host.error();
   co_await host_core_->run_irq(vm_.map_work_cost(work));
   co_return std::move(host).value();
@@ -62,34 +58,33 @@ sim::Task<Result<Vaddr>> GuestLinuxEnclave::map_attachment(
   // them to the host frames — one memory-map entry per page.
   auto mapped = vm_.map_host_frames(host_frames);
   if (!mapped.ok()) co_return mapped.error();
-  auto [gfns, work] = std::move(mapped).value();
+  const auto [window, work] = mapped.value();
   const u64 map_ns = vm_.map_work_cost(work);
   vmm_map_ns_ += map_ns;
   co_await host_core_->run_irq(map_ns);
 
   // Steps 3-4: stage the new guest-frame list through the device and
   // raise the virtual IRQ.
-  co_await pci_stage(gfns.size() * sizeof(u64), host_core_, service_core());
+  mm::PfnList gframes;
+  gframes.append(window);
+  co_await pci_stage(gframes.wire_bytes(), host_core_, service_core());
 
   // Step 5 (guest): map the new guest pages into the attaching process.
   const Vaddr va = attacher.alloc_va(host_frames.byte_span());
-  mm::PfnList gf;
-  gf.pfns.reserve(gfns.size());
-  for (Gfn g : gfns) gf.pfns.push_back(Pfn{g.value()});
   const mm::PageFlags flags =
       writable ? mm::PageFlags::writable | mm::PageFlags::user : mm::PageFlags::user;
   mm::WalkStats st;
-  auto r = attacher.pt().map_range(va, gf.pfns, flags, &st);
+  auto r = attacher.pt().map_range(va, gframes, flags, &st);
   if (!r.ok()) {
-    (void)vm_.unmap_host_frames(gfns);
+    (void)vm_.unmap_host_frames(window);
     co_return r.error();
   }
   const u64 guest_map_cost =
       st.entries_visited * costs::kPtEntryVisit +
-      gf.pfns.size() * (costs::kLinuxMapPerPage + costs::kVmGuestMapExtraPerPage);
+      window.count * (costs::kLinuxMapPerPage + costs::kVmGuestMapExtraPerPage);
   co_await attacher.core()->compute(guest_map_cost);
 
-  attachments_.emplace(att_key(attacher, va), std::move(gfns));
+  attachments_.emplace(att_key(attacher, va), window);
   co_return va;
 }
 
@@ -101,9 +96,9 @@ sim::Task<Result<void>> GuestLinuxEnclave::unmap_attachment(Process& attacher,
                                                             Vaddr va, u64 pages) {
   auto it = attachments_.find(att_key(attacher, va));
   if (it == attachments_.end()) co_return Errc::not_attached;
-  std::vector<Gfn> gfns = std::move(it->second);
+  const hw::FrameExtent window = it->second;
   attachments_.erase(it);
-  XEMEM_ASSERT(gfns.size() == pages);
+  XEMEM_ASSERT(window.count == pages);
 
   mm::WalkStats st;
   auto r = attacher.pt().unmap_range(va, pages, &st);
@@ -112,8 +107,8 @@ sim::Task<Result<void>> GuestLinuxEnclave::unmap_attachment(Process& attacher,
 
   // Hypercall so Palacios can retire the hot-plug region and its map
   // entries.
-  co_await pci_stage(gfns.size() * sizeof(u64), service_core(), host_core_);
-  auto work = vm_.unmap_host_frames(gfns);
+  co_await pci_stage(window.count * sizeof(u64), service_core(), host_core_);
+  auto work = vm_.unmap_host_frames(window);
   if (!work.ok()) co_return work.error();
   co_await host_core_->run_irq(vm_.map_work_cost(work.value()));
   co_return Result<void>{};

@@ -75,8 +75,9 @@ class GuestLinuxEnclave final : public Enclave {
   palacios::PalaciosVm& vm_;
   hw::Core* host_core_;
   u64 vmm_map_ns_{0};
-  // Guest frames of each live attachment, keyed by (pid, va), for unmap.
-  std::unordered_map<u64, std::vector<Gfn>> attachments_;
+  // Hot-plug guest frames of each live attachment (one run), keyed by
+  // (pid, va), for unmap.
+  std::unordered_map<u64, hw::FrameExtent> attachments_;
   static u64 att_key(const Process& p, Vaddr va) {
     return (static_cast<u64>(p.pid()) << 48) ^ va.value();
   }

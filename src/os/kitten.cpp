@@ -28,10 +28,10 @@ Result<Process*> KittenEnclave::create_process(u64 image_bytes, hw::Core* core) 
 
   // Kitten maps the entire image statically at creation (large entries
   // where alignment permits).
-  const auto list = mm::PfnList::from_extents(extents);
+  const mm::PfnList list(extents);
   const auto flags = mm::PageFlags::writable | mm::PageFlags::user;
-  auto mapped = large_pages_ ? p->pt().map_range_best(base, list.pfns, flags)
-                             : p->pt().map_range(base, list.pfns, flags);
+  auto mapped = large_pages_ ? p->pt().map_range_best(base, list, flags)
+                             : p->pt().map_range(base, list, flags);
   if (!mapped.ok()) {
     for (auto e : extents) frames().free(e);
     return mapped.error();
@@ -55,10 +55,10 @@ sim::Task<Result<mm::PfnList>> KittenEnclave::service_make_pfn_list(Process& own
   // Kernel command-thread work on the service core: the page-table walk.
   // Kitten has no paging, so there is nothing to pin.
   mm::WalkStats st;
-  auto pfns = owner.pt().translate_range(va, pages, &st);
-  if (!pfns.ok()) co_return pfns.error();
+  auto walked = owner.pt().translate_range(va, pages, &st);
+  if (!walked.ok()) co_return walked.error();
   co_await service_core()->run_irq(st.entries_visited * costs::kPtEntryVisit);
-  co_return mm::PfnList{std::move(pfns).value()};
+  co_return std::move(walked);
 }
 
 sim::Task<Result<Vaddr>> KittenEnclave::map_attachment(Process& attacher,
@@ -77,45 +77,11 @@ sim::Task<Result<Vaddr>> KittenEnclave::map_attachment(Process& attacher,
       writable ? mm::PageFlags::writable | mm::PageFlags::user : mm::PageFlags::user;
   mm::WalkStats st;
   auto r = large_pages_
-               ? attacher.pt().map_range_best(va, host_frames.pfns, flags, &st)
-               : attacher.pt().map_range(va, host_frames.pfns, flags, &st);
+               ? attacher.pt().map_range_best(va, host_frames, flags, &st)
+               : attacher.pt().map_range(va, host_frames, flags, &st);
   if (!r.ok()) co_return r.error();
   const u64 cost = st.entries_visited * costs::kPtEntryVisit +
                    host_frames.page_count() * costs::kKittenMapPerPage;
-  co_await attacher.core()->compute(cost);
-  co_return va;
-}
-
-sim::Task<Result<Vaddr>> KittenEnclave::map_attachment_extents(
-    Process& attacher, const std::vector<hw::FrameExtent>& extents, bool lazy,
-    bool writable) {
-  (void)lazy;  // Kitten always maps eagerly — it has no fault path at all.
-  // Extent-aware variant of map_attachment: one map_range call per run,
-  // never materializing the flat per-page list. Runs are maximal, so
-  // large-page candidates never straddle run boundaries and map_range_best
-  // finds exactly the 2 MiB entries the flat path would.
-  constexpr u64 kSpan = mm::PageTable::kLargeSpan;
-  u64 pages = 0;
-  for (const auto& e : extents) pages += e.count;
-  const Vaddr va = large_pages_
-                       ? attacher.alloc_va_aligned(pages * kPageSize, kSpan * kPageSize)
-                       : attacher.alloc_va(pages * kPageSize);
-  const mm::PageFlags flags =
-      writable ? mm::PageFlags::writable | mm::PageFlags::user : mm::PageFlags::user;
-  mm::WalkStats st;
-  Vaddr cur = va;
-  std::vector<Pfn> run;
-  for (const auto& e : extents) {
-    run.clear();
-    run.reserve(e.count);
-    for (u64 i = 0; i < e.count; ++i) run.push_back(e.start + i);
-    auto r = large_pages_ ? attacher.pt().map_range_best(cur, run, flags, &st)
-                          : attacher.pt().map_range(cur, run, flags, &st);
-    if (!r.ok()) co_return r.error();  // fresh VA region: cannot conflict
-    cur += e.count * kPageSize;
-  }
-  const u64 cost =
-      st.entries_visited * costs::kPtEntryVisit + pages * costs::kKittenMapPerPage;
   co_await attacher.core()->compute(cost);
   co_return va;
 }

@@ -10,9 +10,8 @@ Result<Process*> LinuxEnclave::create_process(u64 image_bytes, hw::Core* core) {
   auto proc = std::make_unique<Process>(next_pid(), this, pick_core(core));
   Process* p = proc.get();
   const Vaddr base = p->alloc_va(image_bytes);
-  const auto list = mm::PfnList::from_extents(fr.value());
-  auto mapped = p->pt().map_range(
-      base, list.pfns, mm::PageFlags::writable | mm::PageFlags::user);
+  auto mapped = p->pt().map_range(base, mm::PfnList(fr.value()),
+                                  mm::PageFlags::writable | mm::PageFlags::user);
   if (!mapped.ok()) {
     for (auto e : fr.value()) frames().free(e);
     return mapped.error();
@@ -29,12 +28,12 @@ sim::Task<Result<mm::PfnList>> LinuxEnclave::service_make_pfn_list(Process& owne
   // the function's main purpose is preventing page-out; see the paper's
   // footnote 1), then walk the page tables to build the list.
   mm::WalkStats st;
-  auto pfns = owner.pt().translate_range(va, pages, &st);
-  if (!pfns.ok()) co_return pfns.error();
+  auto walked = owner.pt().translate_range(va, pages, &st);
+  if (!walked.ok()) co_return walked.error();
   const u64 cost = pages * costs::kLinuxPinPerPage +
                    st.entries_visited * costs::kPtEntryVisit;
   co_await service_core()->run_irq(cost);
-  co_return mm::PfnList{std::move(pfns).value()};
+  co_return std::move(walked);
 }
 
 sim::Task<Result<Vaddr>> LinuxEnclave::map_attachment(Process& attacher,
@@ -55,7 +54,7 @@ sim::Task<Result<Vaddr>> LinuxEnclave::map_attachment(Process& attacher,
   const mm::PageFlags flags =
       writable ? mm::PageFlags::writable | mm::PageFlags::user : mm::PageFlags::user;
   mm::WalkStats st;
-  auto r = attacher.pt().map_range(va, host_frames.pfns, flags, &st);
+  auto r = attacher.pt().map_range(va, host_frames, flags, &st);
   if (!r.ok()) {
     --attach_inflight_;
     co_return r.error();
@@ -64,45 +63,6 @@ sim::Task<Result<Vaddr>> LinuxEnclave::map_attachment(Process& attacher,
   const u64 cost =
       st.entries_visited * costs::kPtEntryVisit +
       static_cast<u64>(static_cast<double>(host_frames.page_count()) * per_page);
-  co_await attacher.core()->compute(cost);
-  --attach_inflight_;
-  co_return va;
-}
-
-sim::Task<Result<Vaddr>> LinuxEnclave::map_attachment_extents(
-    Process& attacher, const std::vector<hw::FrameExtent>& extents, bool lazy,
-    bool writable) {
-  if (lazy) {
-    // Single-OS fault semantics tracks per-page fault-in state: keep the
-    // flat-list path, which the lazy_ bookkeeping is built around.
-    co_return co_await map_attachment(attacher, mm::PfnList::from_extents(extents),
-                                      lazy, writable);
-  }
-  // Eager remote attachment, run-at-a-time: same remap_pfn_range cost
-  // model as map_attachment, without materializing per-page PFNs first.
-  u64 pages = 0;
-  for (const auto& e : extents) pages += e.count;
-  const Vaddr va = attacher.alloc_va(pages * kPageSize);
-  ++attach_inflight_;
-  const mm::PageFlags flags =
-      writable ? mm::PageFlags::writable | mm::PageFlags::user : mm::PageFlags::user;
-  mm::WalkStats st;
-  Vaddr cur = va;
-  std::vector<Pfn> run;
-  for (const auto& e : extents) {
-    run.clear();
-    run.reserve(e.count);
-    for (u64 i = 0; i < e.count; ++i) run.push_back(e.start + i);
-    auto r = attacher.pt().map_range(cur, run, flags, &st);
-    if (!r.ok()) {
-      --attach_inflight_;
-      co_return r.error();
-    }
-    cur += e.count * kPageSize;
-  }
-  const double per_page = static_cast<double>(costs::kLinuxMapPerPage) * smp_factor();
-  const u64 cost = st.entries_visited * costs::kPtEntryVisit +
-                   static_cast<u64>(static_cast<double>(pages) * per_page);
   co_await attacher.core()->compute(cost);
   --attach_inflight_;
   co_return va;
@@ -122,8 +82,7 @@ sim::Task<void> LinuxEnclave::touch_attached(Process& attacher, Vaddr va, u64 pa
   // A page that is already mapped (double touch) stops the fault-in silently.
   mm::WalkStats st;
   (void)attacher.pt().map_prefix(va + first * kPageSize,
-                                 std::span(rec.frames.pfns).subspan(first, to_fault),
-                                 flags, &st);
+                                 rec.frames.slice(first, to_fault), flags, &st);
   rec.remaining -= to_fault;
   co_await attacher.core()->compute(to_fault * costs::kLinuxFaultPerPage +
                                     st.entries_visited * costs::kPtEntryVisit);

@@ -40,9 +40,6 @@ class LinuxEnclave final : public Enclave {
   sim::Task<Result<Vaddr>> map_attachment(Process& attacher,
                                           const mm::PfnList& host_frames, bool lazy,
                                           bool writable) override;
-  sim::Task<Result<Vaddr>> map_attachment_extents(
-      Process& attacher, const std::vector<hw::FrameExtent>& extents, bool lazy,
-      bool writable) override;
   sim::Task<void> touch_attached(Process& attacher, Vaddr va, u64 pages) override;
   sim::Task<Result<void>> unmap_attachment(Process& attacher, Vaddr va,
                                            u64 pages) override;

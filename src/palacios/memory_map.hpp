@@ -17,10 +17,10 @@
 //    quantifies the difference.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/status.hpp"
 #include "common/types.hpp"
@@ -64,8 +64,9 @@ class GuestMemoryMap {
   /// Translate one guest physical address.
   std::optional<HostPaddr> translate(GuestPaddr gpa, MapWork* work = nullptr) const;
 
-  /// Translate a guest frame list to host frames (Figure 4(b) path).
-  Result<mm::PfnList> translate_frames(const std::vector<Gfn>& gfns,
+  /// Translate a guest frame list to host frames (Figure 4(b) path). The
+  /// guest frames are domain frames, held as Pfn like a guest page table's.
+  Result<mm::PfnList> translate_frames(const mm::PfnList& gframes,
                                        MapWork* work = nullptr) const;
 
   /// Number of live map entries (rb-tree nodes / radix leaf slots).
@@ -197,14 +198,15 @@ inline std::optional<HostPaddr> GuestMemoryMap::translate(GuestPaddr gpa,
 }
 
 inline Result<mm::PfnList> GuestMemoryMap::translate_frames(
-    const std::vector<Gfn>& gfns, MapWork* work) const {
+    const mm::PfnList& gframes, MapWork* work) const {
   mm::PfnList out;
-  out.pfns.reserve(gfns.size());
   if (backend_ == MapBackend::radix) {
-    for (Gfn g : gfns) {
-      auto hpa = translate(g.paddr(), work);
-      if (!hpa) return Errc::invalid_argument;
-      out.pfns.push_back(Pfn::of(*hpa));
+    for (const auto& run : gframes.runs()) {
+      for (u64 k = 0; k < run.count; ++k) {
+        auto hpa = translate(Gfn{run.start.value() + k}.paddr(), work);
+        if (!hpa) return Errc::invalid_argument;
+        out.push_back(Pfn::of(*hpa));
+      }
     }
     return out;
   }
@@ -216,23 +218,29 @@ inline Result<mm::PfnList> GuestMemoryMap::translate_frames(
   u64 end = 0;  // [start, end) is the region last walked to; empty at first
   HostPaddr hpa{0};
   u64 steps = 0;
-  for (Gfn g : gfns) {
-    const u64 gpa = g.paddr().value();
-    if (gpa < start || gpa >= end) {
-      RbOpStats st;
-      auto [k, v] = const_cast<RbTree<u64, Region>&>(rb_).floor(gpa, &st);
-      steps = st.nodes_visited;
-      if (k == nullptr || gpa >= *k + v->bytes) {
-        w.steps += steps;
-        if (work) *work += w;
-        return Errc::invalid_argument;
+  for (const auto& run : gframes.runs()) {
+    u64 gpa = Gfn{run.start.value()}.paddr().value();
+    const u64 run_end = gpa + run.count * kPageSize;
+    while (gpa < run_end) {
+      if (gpa < start || gpa >= end) {
+        RbOpStats st;
+        auto [k, v] = const_cast<RbTree<u64, Region>&>(rb_).floor(gpa, &st);
+        steps = st.nodes_visited;
+        if (k == nullptr || gpa >= *k + v->bytes) {
+          w.steps += steps;
+          if (work) *work += w;
+          return Errc::invalid_argument;
+        }
+        start = *k;
+        end = *k + v->bytes;
+        hpa = v->hpa;
       }
-      start = *k;
-      end = *k + v->bytes;
-      hpa = v->hpa;
+      // The pages of this run inside the region: one host run.
+      const u64 pages = (std::min(run_end, end) - gpa) >> kPageShift;
+      w.steps += steps * pages;
+      out.append(hw::FrameExtent{Pfn::of(hpa + (gpa - start)), pages});
+      gpa += pages * kPageSize;
     }
-    w.steps += steps;
-    out.pfns.push_back(Pfn::of(hpa + (gpa - start)));
   }
   if (work) *work += w;
   return out;

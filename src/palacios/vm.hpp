@@ -82,52 +82,48 @@ class PalaciosVm {
 
   /// Figure 4(a): materialize a host PFN list as new guest-physical pages.
   /// Allocates a fresh hot-plug GPA run and inserts one memory-map entry
-  /// per page (see file comment). Returns the new guest frames and the
-  /// structural work for the caller's time charge.
-  Result<std::pair<std::vector<Gfn>, MapWork>> map_host_frames(
+  /// per page (see file comment). Returns the new guest frames (one run)
+  /// and the structural work for the caller's time charge.
+  Result<std::pair<hw::FrameExtent, MapWork>> map_host_frames(
       const mm::PfnList& host) {
     auto gpas = hotplug_.alloc(host.page_count(), hw::AllocPolicy::contiguous);
     if (!gpas.ok()) return gpas.error();
     XEMEM_ASSERT(gpas.value().size() == 1);
-    const Pfn gfn0 = gpas.value()[0].start;
+    const hw::FrameExtent window = gpas.value()[0];
     MapWork work;
-    std::vector<Gfn> gfns;
-    gfns.reserve(host.page_count());
-    for (u64 i = 0; i < host.page_count(); ++i) {
-      const Gfn gfn{gfn0.value() + i};
-      auto ins = map_.insert_region(gfn.paddr(), host.pfns[i].paddr(), kPageSize,
-                                    &work);
-      if (!ins.ok()) {
-        for (u64 j = 0; j < i; ++j) {
-          (void)map_.remove_region(Gfn{gfn0.value() + j}.paddr(), kPageSize, &work);
+    u64 i = 0;
+    for (const auto& run : host.runs()) {
+      for (u64 k = 0; k < run.count; ++k, ++i) {
+        auto ins = map_.insert_region(gpa_of(window, i), (run.start + k).paddr(),
+                                      kPageSize, &work);
+        if (!ins.ok()) {
+          for (u64 j = 0; j < i; ++j) {
+            (void)map_.remove_region(gpa_of(window, j), kPageSize, &work);
+          }
+          hotplug_.free(window);
+          return ins.error();
         }
-        hotplug_.free(gpas.value()[0]);
-        return ins.error();
       }
-      gfns.push_back(gfn);
     }
-    return std::pair{std::move(gfns), work};
+    return std::pair{window, work};
   }
 
   /// Tear down a hot-plug attachment created by map_host_frames.
-  Result<MapWork> unmap_host_frames(const std::vector<Gfn>& gfns) {
+  Result<MapWork> unmap_host_frames(hw::FrameExtent window) {
     MapWork work;
-    for (Gfn g : gfns) {
-      auto r = map_.remove_region(g.paddr(), kPageSize, &work);
+    for (u64 i = 0; i < window.count; ++i) {
+      auto r = map_.remove_region(gpa_of(window, i), kPageSize, &work);
       if (!r.ok()) return r.error();
     }
-    if (!gfns.empty()) {
-      hotplug_.free(hw::FrameExtent{Pfn{gfns.front().value()},
-                                    static_cast<u64>(gfns.size())});
-    }
+    if (window.count > 0) hotplug_.free(window);
     return work;
   }
 
   /// Figure 4(b): translate guest frames exported by the guest into host
   /// frames, walking the memory map per page.
-  Result<mm::PfnList> guest_to_host(const std::vector<Gfn>& gfns,
+  Result<mm::PfnList> guest_to_host(const mm::PfnList& gframes,
                                     MapWork* work = nullptr) {
-    return map_.translate_frames(gfns, work);
+    return map_.translate_frames(gframes, work);
   }
 
   /// Data-plane translation of one guest frame (no charge; correctness).
@@ -146,6 +142,11 @@ class PalaciosVm {
   }
 
  private:
+  /// Guest-physical address of page @p i of a run of guest frames.
+  static GuestPaddr gpa_of(hw::FrameExtent gframes, u64 i) {
+    return Gfn{gframes.start.value() + i}.paddr();
+  }
+
   Config cfg_;
   hw::FrameZone& host_zone_;
   GuestMemoryMap map_;

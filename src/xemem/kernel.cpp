@@ -224,7 +224,7 @@ void XememKernel::crash() {
   // behalf of attachers is released. Attachments in surviving enclaves
   // keep their (now dangling) mappings until they detach, exactly like an
   // abrupt peer death on real hardware.
-  for (auto& [h, rec] : pins_) unpin_frames(rec.frames.extents());
+  for (auto& [h, rec] : pins_) unpin_frames(rec.frames);
   pins_.clear();
   exports_.clear();
   pending_fwd_.clear();
@@ -1201,7 +1201,7 @@ sim::Task<Message> XememKernel::serve_attach(const Message& msg) {
       }
     }
   }
-  pin_frames(frames.extents());
+  pin_frames(frames);
   ++stats_.attaches_served;
   stats_.pages_shared += frames.page_count();
   const u64 handle = next_handle_++;
@@ -1209,7 +1209,7 @@ sim::Task<Message> XememKernel::serve_attach(const Message& msg) {
   resp.segid = msg.segid;
   resp.offset = handle;  // owner-side pin handle, echoed back on detach
   resp.size = msg.size;
-  encode_pfn_payload(resp, frames);
+  ship_frames(resp, frames);
   u64 capid = 0;
   if (node != nullptr) {
     // Charge the attach to its capability so cap_revoke can find and tear
@@ -1253,7 +1253,7 @@ sim::Task<Message> XememKernel::serve_detach(const Message& msg) {
       --a->live_attaches;
     }
   }
-  unpin_frames(pin->second.frames.extents());
+  unpin_frames(pin->second.frames);
   pins_.erase(pin);
   auto ex = exports_.find(msg.segid.value());
   if (ex != exports_.end()) {
@@ -1272,7 +1272,7 @@ u64 XememKernel::reap_attacher_pins(EnclaveId attacher) {
       ++it;
       continue;
     }
-    unpin_frames(pin.frames.extents());
+    unpin_frames(pin.frames);
     auto ex = exports_.find(pin.segid.value());
     if (ex != exports_.end() && ex->second.attachments > 0) {
       --ex->second.attachments;
@@ -1649,7 +1649,7 @@ sim::Task<Message> XememKernel::serve_cap_revoke(const Message& msg) {
       ++it;
       continue;
     }
-    unpin_frames(pin.frames.extents());
+    unpin_frames(pin.frames);
     tombstone_handle(msg.segid.value(), it->first);
     by_attacher[pin.attacher.value()].push_back(it->first);
     auto ex = exports_.find(msg.segid.value());
@@ -1739,39 +1739,28 @@ sim::Task<void> XememKernel::unmap_revoked_handle(u64 segid, u64 handle) {
   }
 }
 
-void XememKernel::pin_frames(const std::vector<hw::FrameExtent>& runs) {
+void XememKernel::pin_frames(const mm::PfnList& frames) {
   auto& pm = os_.machine().pmem();
-  for (const auto& e : runs) pm.ref_run(e);
+  for (const auto& run : frames.runs()) pm.ref_run(run);
 }
 
-void XememKernel::unpin_frames(const std::vector<hw::FrameExtent>& runs) {
+void XememKernel::unpin_frames(const mm::PfnList& frames) {
   auto& pm = os_.machine().pmem();
-  for (const auto& e : runs) pm.unref_run(e);
+  for (const auto& run : frames.runs()) pm.unref_run(run);
 }
 
-void XememKernel::encode_pfn_payload(Message& resp, const mm::PfnList& frames) {
+void XememKernel::ship_frames(Message& resp, const mm::PfnList& frames) {
+  resp.frames = frames;
+  if (!cfg_.extent_wire) return;
   const u64 flat_bytes = frames.wire_bytes();
-  if (cfg_.extent_wire) {
-    const u64 ext_bytes = frames.extent_wire_bytes();
-    // Pick the smaller encoding: a fully scattered list costs 12 B/extent
-    // vs 8 B/page flat, so compression is not unconditionally a win.
-    if (ext_bytes < flat_bytes) {
-      resp.extents = frames.extents();
-      stats_.extents_shipped += resp.extents.size();
-      stats_.wire_bytes_saved += flat_bytes - ext_bytes;
-      return;
-    }
+  const u64 ext_bytes = frames.extent_wire_bytes();
+  // Charge the smaller encoding: a fully scattered list costs 12 B/run vs
+  // 8 B/page flat, so the extent encoding is not unconditionally a win.
+  if (ext_bytes < flat_bytes) {
+    resp.frames_flat = false;
+    stats_.extents_shipped += frames.run_count();
+    stats_.wire_bytes_saved += flat_bytes - ext_bytes;
   }
-  resp.payload.reserve(resp.payload.size() + frames.page_count());
-  for (Pfn p : frames.pfns) resp.payload.push_back(p.value());
-}
-
-mm::PfnList XememKernel::decode_pfn_payload(const Message& resp) {
-  if (!resp.extents.empty()) return mm::PfnList::from_extents(resp.extents);
-  mm::PfnList frames;
-  frames.pfns.reserve(resp.payload.size());
-  for (u64 v : resp.payload) frames.pfns.push_back(Pfn{v});
-  return frames;
 }
 
 void XememKernel::cache_owner(Segid segid, EnclaveId owner) {
@@ -2064,14 +2053,14 @@ sim::Task<Result<XpmemAttachment>> XememKernel::xpmem_attach(os::Process& attach
       --rec.attachments;
       co_return frames.error();
     }
-    pin_frames(frames.value().extents());
+    pin_frames(frames.value());
     ++stats_.local_attaches;
     stats_.pages_shared += frames.value().page_count();
     auto va = co_await os_.map_attachment(attacher, frames.value(),
                                           os_.lazy_local_attach(),
                                           grant.mode == AccessMode::read_write);
     if (!va.ok()) {
-      unpin_frames(frames.value().extents());
+      unpin_frames(frames.value());
       --rec.attachments;
       co_return va.error();
     }
@@ -2142,15 +2131,9 @@ sim::Task<Result<XpmemAttachment>> XememKernel::xpmem_attach(os::Process& attach
   if (r.status == Errc::revoked) tombstone_cap(grant.cap);
   if (r.status != Errc::ok) co_return r.status;
 
-  mm::PfnList frames = decode_pfn_payload(r);
+  mm::PfnList frames = std::move(r.frames);
   ++stats_.attaches_issued;
-  // An extent-encoded response hands its runs straight to the extent-aware
-  // mapping path, which maps run-at-a-time (and lets Kitten pick 2 MiB
-  // entries per aligned run) instead of expanding to a flat list first.
-  auto va = r.extents.empty()
-                ? co_await os_.map_attachment(attacher, frames, false, writable)
-                : co_await os_.map_attachment_extents(attacher, r.extents,
-                                                      false, writable);
+  auto va = co_await os_.map_attachment(attacher, frames, false, writable);
   if (!va.ok()) co_return va.error();
   if (cfg_.capabilities) {
     // Revocation raced this attach and its fan-out overtook the response:
@@ -2222,7 +2205,7 @@ sim::Task<Result<void>> XememKernel::xpmem_detach(os::Process& attacher,
         --a->live_attaches;
       }
     }
-    unpin_frames(pin->second.frames.extents());
+    unpin_frames(pin->second.frames);
     pins_.erase(pin);
     auto ex = exports_.find(att.segid.value());
     if (ex != exports_.end() && ex->second.attachments > 0) --ex->second.attachments;

@@ -76,9 +76,9 @@ struct KernelConfig {
   // attach-path ablation, and throughput-hungry deployments turn the
   // layers on — see bench/ablation_attach_path and DESIGN.md §8).
 
-  /// Ship attach responses extent-compressed whenever that encoding is
-  /// smaller than 8 B/page flat PFNs (decoding is always supported, so
-  /// mixed configurations interoperate).
+  /// Charge attach responses' frames at the extent encoding (12 B/run)
+  /// whenever that is smaller than 8 B/page flat PFNs. Only the wire size
+  /// changes: the frames are held as runs either way.
   bool extent_wire{false};
   /// Remember segid -> owner-enclave from successful responses so repeat
   /// xpmem_get/attach/detach to a known segid address the owner directly,
@@ -663,16 +663,14 @@ class XememKernel {
   /// Per-segment accounting slot (bounded map).
   SegAccounting& cap_acct(u64 segid);
 
-  // Pin bookkeeping works run-at-a-time so extent-compressed frame lists
-  // never expand just to bump refcounts.
-  void pin_frames(const std::vector<hw::FrameExtent>& runs);
-  void unpin_frames(const std::vector<hw::FrameExtent>& runs);
+  // Pin bookkeeping works run-at-a-time.
+  void pin_frames(const mm::PfnList& frames);
+  void unpin_frames(const mm::PfnList& frames);
 
-  // Attach fast-path plumbing. encode_pfn_payload puts @p frames on an
-  // attach response in whichever encoding is smaller (extent runs vs flat
-  // PFNs) and accounts the savings; decode handles both unconditionally.
-  void encode_pfn_payload(Message& resp, const mm::PfnList& frames);
-  static mm::PfnList decode_pfn_payload(const Message& resp);
+  // Puts @p frames on an attach response. With extent_wire, the wire
+  // charges the runs instead of 8 B/page whenever that is smaller, and the
+  // savings are accounted.
+  void ship_frames(Message& resp, const mm::PfnList& frames);
   void cache_owner(Segid segid, EnclaveId owner);
   void drop_owner_cache(Segid segid);
   void drop_owner_cache_for(EnclaveId dead);

@@ -49,7 +49,7 @@ enum class Cmd : u8 {
   get_resp,     ///< grant (carries region size) or denial
   release,      ///< drop a permission grant
   attach,       ///< request the PFN list for (segid, offset, size)
-  attach_resp,  ///< PFN list payload
+  attach_resp,  ///< PFN list in `frames`; `frames_flat` picks its wire size
   detach,       ///< drop an attachment (owner unpins)
   detach_resp,
 
@@ -105,17 +105,18 @@ struct Message {
   u64 cap{0};
   Errc status{Errc::ok};
 
-  /// PFN list (attach_resp) or other bulk payload, as raw u64s.
+  /// Bulk payload of control messages (enclave ids, segid lists, shard
+  /// ops, capability rights, revocation notes), as raw u64s. PFN lists
+  /// travel in `frames`, not here.
   std::vector<u64> payload;
-  /// Extent-compressed PFN payload (attach_resp): runs of physically
-  /// contiguous frames at mm::PfnList::kExtentWireBytes each. An attach
-  /// response carries its frames either here or flat in `payload`, never
-  /// both — the owner picks whichever encoding is smaller (a contiguous
-  /// Kitten export is O(1) extents instead of 8 B/page; see §5.4 of the
-  /// paper for the per-page overhead this removes from the channel).
-  /// Receivers must decode both forms unconditionally so mixed kernel
-  /// configurations interoperate.
-  std::vector<hw::FrameExtent> extents;
+  /// Frames of an attach_resp, as maximal runs. The wire charges them flat
+  /// (8 B/page, the u64 PFNs the real implementation ships) unless the
+  /// owner cleared `frames_flat` because the extent encoding
+  /// (mm::PfnList::kExtentWireBytes per run) is smaller: a contiguous
+  /// Kitten export is O(1) runs instead of 8 B/page (see §5.4 of the paper
+  /// for the per-page overhead this removes from the channel).
+  mm::PfnList frames;
+  bool frames_flat{true};
   /// Well-known name for publish/lookup.
   std::string name;
 
@@ -125,7 +126,8 @@ struct Message {
   /// Bytes this message occupies on a channel.
   u64 wire_bytes() const {
     return kHeaderBytes + payload.size() * sizeof(u64) +
-           extents.size() * mm::PfnList::kExtentWireBytes + name.size();
+           (frames_flat ? frames.wire_bytes() : frames.extent_wire_bytes()) +
+           name.size();
   }
 
   bool is_response() const {

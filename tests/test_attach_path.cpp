@@ -9,6 +9,7 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "pisces/ipi_channel.hpp"
 #include "xemem/system.hpp"
 
 #define CO_ASSERT_TRUE(x)                            \
@@ -35,12 +36,14 @@ KernelConfig fast_config() {
 // ------------------------------------------------------------- wire format
 
 TEST(AttachPath, ExtentEncodingShrinksMessageWireBytes) {
-  // Pure wire accounting: 512 contiguous pages flat = 4 KiB payload;
-  // extent-encoded = one 12 B record.
+  // Pure wire accounting: 512 contiguous pages flat = 4 KiB of PFNs;
+  // extent-encoded = one 12 B record. Both carry the same frames.
   Message flat;
-  for (u64 i = 0; i < 512; ++i) flat.payload.push_back(1000 + i);
+  for (u64 i = 0; i < 512; ++i) flat.frames.push_back(Pfn{1000 + i});
   Message ext;
-  ext.extents.push_back(hw::FrameExtent{Pfn{1000}, 512});
+  ext.frames.append(hw::FrameExtent{Pfn{1000}, 512});
+  ext.frames_flat = false;
+  EXPECT_EQ(flat.frames, ext.frames);
   EXPECT_EQ(flat.wire_bytes(), Message::kHeaderBytes + 512 * 8);
   EXPECT_EQ(ext.wire_bytes(), Message::kHeaderBytes + mm::PfnList::kExtentWireBytes);
   EXPECT_LT(ext.wire_bytes(), flat.wire_bytes());
@@ -55,6 +58,11 @@ TEST(AttachPath, ContiguousExportShipsExtentsAndMapsCorrectly) {
   node.set_kernel_config(fast_config());
   auto& mgmt = node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
   auto& ck = node.add_cokernel("ck", 0, {6, 7}, 256_MiB);
+  // Raw side channel into the co-kernel; the test plays a remote enclave
+  // to read an attach response as it crosses the wire.
+  auto side = pisces::make_ipi_channel(&node.machine().core(1),
+                                       &node.machine().core(7));
+  ck.add_channel(side.b.get());
 
   auto main = [&]() -> sim::Task<void> {
     co_await node.start();
@@ -87,6 +95,34 @@ TEST(AttachPath, ContiguousExportShipsExtentsAndMapsCorrectly) {
                        .proc_read(*up, att.value().va + 64, back, sizeof(back))
                        .ok());
     EXPECT_STREQ(back, pattern);
+
+    // On the wire, the response charges its runs, not 8 B per page.
+    Message req;
+    req.cmd = Cmd::attach;
+    req.src = EnclaveId{77};  // fabricated remote enclave
+    req.dst = ck.id();
+    req.req_id = 0xe0001;
+    req.segid = sid.value();
+    req.size = 4_MiB;
+    const u64 shipped = ck.stats().extents_shipped;
+    co_await side.a->send(req);
+    Message resp = co_await side.a->inbox().recv();
+    CO_ASSERT_TRUE(resp.status == Errc::ok);
+    EXPECT_EQ(resp.frames.page_count(), 4_MiB / kPageSize);
+    EXPECT_FALSE(resp.frames_flat);
+    EXPECT_EQ(ck.stats().extents_shipped - shipped, resp.frames.run_count());
+    EXPECT_EQ(resp.wire_bytes(), Message::kHeaderBytes +
+                                     resp.frames.run_count() *
+                                         mm::PfnList::kExtentWireBytes);
+    Message detach;
+    detach.cmd = Cmd::detach;
+    detach.src = EnclaveId{77};
+    detach.dst = ck.id();
+    detach.req_id = 0xe0002;
+    detach.segid = sid.value();
+    detach.offset = resp.offset;  // owner-side pin handle
+    co_await side.a->send(detach);
+    EXPECT_EQ((co_await side.a->inbox().recv()).status, Errc::ok);
 
     CO_ASSERT_TRUE((co_await mgmt.xpmem_detach(*up, att.value())).ok());
     EXPECT_EQ(node.machine().pmem().total_refs(), 0u);

@@ -175,7 +175,11 @@ TEST(Fault, DuplicateAttachDeliveryPinsFramesOnce) {
     EXPECT_EQ(r2.cmd, Cmd::attach_resp);
     EXPECT_EQ(r2.status, Errc::ok);
     EXPECT_EQ(r1.offset, r2.offset) << "cached response echoes the same handle";
-    EXPECT_EQ(r1.payload, r2.payload);
+    EXPECT_EQ(r1.frames, r2.frames);
+    EXPECT_EQ(r1.frames.page_count(), 256u);
+    // Without extent_wire the wire charges the frames flat, 8 B per page.
+    EXPECT_TRUE(r1.frames_flat);
+    EXPECT_EQ(r1.wire_bytes(), Message::kHeaderBytes + 256 * 8);
 
     // Pinned exactly once despite two deliveries.
     EXPECT_EQ(ck.stats().attaches_served, 1u);

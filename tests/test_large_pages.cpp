@@ -79,13 +79,13 @@ TEST(LargePages, TranslateRangeCollapsesWalkWork) {
   mm::WalkStats large_walk;
   auto big = pt.translate_range(Vaddr{0}, 8 * kSpan, &large_walk);
   ASSERT_TRUE(big.ok());
-  ASSERT_EQ(big.value().size(), 8 * kSpan);
-  for (u64 i = 0; i < 8 * kSpan; ++i) EXPECT_EQ(big.value()[i], Pfn{i});
+  ASSERT_EQ(big.value().page_count(), 8 * kSpan);
+  ASSERT_EQ(big.value().run_count(), 1u);
+  EXPECT_EQ(big.value().runs()[0], (hw::FrameExtent{Pfn{0}, 8 * kSpan}));
 
   mm::PageTable small;
-  std::vector<Pfn> pfns;
-  for (u64 i = 0; i < 8 * kSpan; ++i) pfns.push_back(Pfn{i});
-  ASSERT_TRUE(small.map_range(Vaddr{0}, pfns, mm::PageFlags::none).ok());
+  ASSERT_TRUE(
+      small.map_range(Vaddr{0}, big.value(), mm::PageFlags::none).ok());
   mm::WalkStats small_walk;
   ASSERT_TRUE(small.translate_range(Vaddr{0}, 8 * kSpan, &small_walk).ok());
 
@@ -96,15 +96,15 @@ TEST(LargePages, TranslateRangeCollapsesWalkWork) {
 TEST(LargePages, MapRangeBestMixesGranularities) {
   mm::PageTable pt;
   // Aligned contiguous run + a scattered tail.
-  std::vector<Pfn> pfns;
-  for (u64 i = 0; i < kSpan; ++i) pfns.push_back(Pfn{kSpan * 4 + i});  // large-able
-  for (u64 i = 0; i < 10; ++i) pfns.push_back(Pfn{99000 + i * 2});     // scattered
-  ASSERT_TRUE(pt.map_range_best(Vaddr{0}, pfns, mm::PageFlags::writable).ok());
+  mm::PfnList frames;
+  frames.append(hw::FrameExtent{Pfn{kSpan * 4}, kSpan});                  // large-able
+  for (u64 i = 0; i < 10; ++i) frames.push_back(Pfn{99000 + i * 2});     // scattered
+  ASSERT_TRUE(pt.map_range_best(Vaddr{0}, frames, mm::PageFlags::writable).ok());
   EXPECT_EQ(pt.large_mappings(), 1u);
   EXPECT_EQ(pt.mapped_pages(), kSpan + 10);
   auto all = pt.translate_range(Vaddr{0}, kSpan + 10);
   ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all.value(), pfns);
+  EXPECT_EQ(all.value(), frames);
   ASSERT_TRUE(pt.unmap_range(Vaddr{0}, kSpan + 10).ok());
   EXPECT_EQ(pt.mapped_pages(), 0u);
   EXPECT_LE(pt.table_nodes(), 1u);
@@ -165,6 +165,50 @@ TEST(LargePages, KittenLargePageExportAttachesCorrectly) {
     EXPECT_EQ(got, marker);
     CO_ASSERT_TRUE((co_await mgmt.xpmem_detach(*u, att.value())).ok());
     EXPECT_EQ(node.machine().pmem().total_refs(), 0u);
+
+    // Runs are maximal: two adjacent 256-frame runs appended at a 512-aligned
+    // start are one run, so they map with one 2 MiB entry and charge the
+    // same WalkStats as one 512-frame run. Large-page eligibility and
+    // extents_shipped both rest on this.
+    mm::PfnList halves;
+    halves.append(hw::FrameExtent{Pfn{kSpan * 3000}, kSpan / 2});
+    halves.append(hw::FrameExtent{Pfn{kSpan * 3000 + kSpan / 2}, kSpan / 2});
+    mm::PfnList whole;
+    whole.append(hw::FrameExtent{Pfn{kSpan * 3000}, kSpan});
+    EXPECT_EQ(halves, whole);
+    mm::PageTable pt_halves;
+    mm::PageTable pt_whole;
+    mm::WalkStats st_halves;
+    mm::WalkStats st_whole;
+    const auto flags = mm::PageFlags::writable | mm::PageFlags::user;
+    CO_ASSERT_TRUE(
+        pt_halves.map_range_best(Vaddr{kLargeBytes}, halves, flags, &st_halves).ok());
+    CO_ASSERT_TRUE(
+        pt_whole.map_range_best(Vaddr{kLargeBytes}, whole, flags, &st_whole).ok());
+    EXPECT_EQ(pt_halves.large_mappings(), 1u);
+    EXPECT_EQ(st_halves.entries_visited, st_whole.entries_visited);
+    EXPECT_EQ(st_halves.tables_allocated, st_whole.tables_allocated);
+    EXPECT_EQ(st_halves.tables_freed, st_whole.tables_freed);
+    // A one-frame gap keeps them two runs: 512 pages, but no 2 MiB entry.
+    mm::PfnList gapped;
+    gapped.append(hw::FrameExtent{Pfn{kSpan * 3000}, kSpan / 2});
+    gapped.append(hw::FrameExtent{Pfn{kSpan * 3000 + kSpan / 2 + 1}, kSpan / 2});
+    mm::PageTable pt_gapped;
+    mm::WalkStats st_gapped;
+    CO_ASSERT_TRUE(
+        pt_gapped.map_range_best(Vaddr{kLargeBytes}, gapped, flags, &st_gapped).ok());
+    EXPECT_EQ(pt_gapped.large_mappings(), 0u);
+    EXPECT_EQ(pt_gapped.mapped_pages(), kSpan);
+    EXPECT_EQ(st_gapped.entries_visited, 4 * kSpan);
+    const u64 large_before = p->pt().large_mappings();
+    auto va = co_await ck->map_attachment(*p, halves, false, true);
+    CO_ASSERT_TRUE(va.ok());
+    EXPECT_EQ(p->pt().large_mappings(), large_before + 1);
+    const auto pte = p->pt().lookup(va.value() + 300 * kPageSize);
+    CO_ASSERT_TRUE(pte.has_value());
+    EXPECT_EQ(pte->pfn, Pfn{kSpan * 3000 + 300});
+    CO_ASSERT_TRUE((co_await ck->unmap_attachment(*p, va.value(), kSpan)).ok());
+    EXPECT_EQ(p->pt().large_mappings(), large_before);
   };
   eng.run(main());
 }

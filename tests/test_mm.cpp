@@ -15,6 +15,22 @@
 namespace xemem::mm {
 namespace {
 
+// A PfnList holding @p pfns in order, appended page by page.
+PfnList list_of(const std::vector<Pfn>& pfns) {
+  PfnList l;
+  for (Pfn p : pfns) l.push_back(p);
+  return l;
+}
+
+// The per-page expansion of @p l.
+std::vector<Pfn> flat(const PfnList& l) {
+  std::vector<Pfn> out;
+  for (const auto& r : l.runs()) {
+    for (u64 k = 0; k < r.count; ++k) out.push_back(r.start + k);
+  }
+  return out;
+}
+
 TEST(PageTable, MapThenLookup) {
   PageTable pt;
   ASSERT_TRUE(pt.map(Vaddr{0x1000}, Pfn{42}, PageFlags::writable).ok());
@@ -78,8 +94,8 @@ TEST(PageTable, HighCanonicalishAddresses) {
 TEST(PageTable, MapRangeRollsBackOnConflict) {
   PageTable pt;
   ASSERT_TRUE(pt.map(Vaddr{0x3000}, Pfn{50}, PageFlags::none).ok());
-  std::vector<Pfn> pfns{Pfn{1}, Pfn{2}, Pfn{3}};
-  auto r = pt.map_range(Vaddr{0x1000}, pfns, PageFlags::none);  // hits 0x3000
+  const PfnList frames = list_of({Pfn{1}, Pfn{2}, Pfn{3}});
+  auto r = pt.map_range(Vaddr{0x1000}, frames, PageFlags::none);  // hits 0x3000
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(pt.mapped_pages(), 1u) << "partial range must be rolled back";
   EXPECT_TRUE(pt.lookup(Vaddr{0x3000}).has_value());
@@ -89,10 +105,11 @@ TEST(PageTable, MapRangeRollsBackOnConflict) {
 TEST(PageTable, TranslateRangeGeneratesPfnListInOrder) {
   PageTable pt;
   std::vector<Pfn> pfns{Pfn{10}, Pfn{300}, Pfn{7}, Pfn{8}};
-  ASSERT_TRUE(pt.map_range(Vaddr{0x10000}, pfns, PageFlags::writable).ok());
+  ASSERT_TRUE(pt.map_range(Vaddr{0x10000}, list_of(pfns), PageFlags::writable).ok());
   auto r = pt.translate_range(Vaddr{0x10000}, 4);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), pfns);
+  EXPECT_EQ(flat(r.value()), pfns);
+  EXPECT_EQ(r.value().run_count(), 3u) << "7, 8 is one run";
 }
 
 TEST(PageTable, TranslateRangeWithHoleFails) {
@@ -124,11 +141,11 @@ TEST(PageTableProperty, MapTranslateUnmapRoundTrip) {
     const Vaddr base{(1 + rng.uniform_u64(1000)) * 0x200000ull};
     std::vector<Pfn> pfns;
     for (u64 i = 0; i < count; ++i) pfns.push_back(Pfn{rng.uniform_u64(1 << 20)});
-    ASSERT_TRUE(pt.map_range(base, pfns, PageFlags::writable).ok());
+    ASSERT_TRUE(pt.map_range(base, list_of(pfns), PageFlags::writable).ok());
     EXPECT_EQ(pt.mapped_pages(), count);
     auto got = pt.translate_range(base, count);
     ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got.value(), pfns);
+    EXPECT_EQ(flat(got.value()), pfns);
     ASSERT_TRUE(pt.unmap_range(base, count).ok());
     EXPECT_EQ(pt.mapped_pages(), 0u);
     EXPECT_LE(pt.table_nodes(), 1u);
@@ -274,9 +291,19 @@ TEST(PageTableDifferential, RangeOpsMatchPerPageTwin) {
   u64 range_failed = 0;
   auto random_pfns = [&](u64 n) {
     std::vector<Pfn> pfns;
-    if (rng.uniform() < 0.3) {  // an aligned contiguous run: 2 MiB candidates
+    const double shape = rng.uniform();
+    if (shape < 0.3) {  // an aligned contiguous run: 2 MiB candidates
       const u64 start = (1 + rng.uniform_u64(64)) * kSpan;
       for (u64 i = 0; i < n; ++i) pfns.push_back(Pfn{start + i});
+    } else if (shape < 0.5) {
+      // Runs of 1..700 frames, half starting 512-aligned: run ends fall
+      // inside leaves and 2 MiB windows, some runs hold a 2 MiB candidate.
+      while (pfns.size() < n) {
+        const u64 start = (1 + rng.uniform_u64(1u << 14)) *
+                          (rng.uniform() < 0.5 ? kSpan : 1);
+        const u64 len = std::min<u64>(1 + rng.uniform_u64(700), n - pfns.size());
+        for (u64 i = 0; i < len; ++i) pfns.push_back(Pfn{start + i});
+      }
     } else {
       for (u64 i = 0; i < n; ++i) pfns.push_back(Pfn{1 + rng.uniform_u64(1u << 24)});
     }
@@ -317,21 +344,21 @@ TEST(PageTableDifferential, RangeOpsMatchPerPageTwin) {
                 twin.map_large(w, pfn, PageFlags::writable, &ts).error());
     } else if (dice < 0.31) {
       const auto pfns = random_pfns(len);
-      const auto r = fast.map_range(va, pfns, PageFlags::writable, &fs);
+      const auto r = fast.map_range(va, list_of(pfns), PageFlags::writable, &fs);
       ASSERT_EQ(r.error(),
                 twin_map_range(twin, va, pfns, PageFlags::writable, &ts).error());
       ++(r.ok() ? range_ok : range_failed);
       if (r.ok()) live.emplace_back(va, len);
     } else if (dice < 0.43) {
       const auto pfns = random_pfns(len);
-      const auto r = fast.map_range_best(va, pfns, PageFlags::writable, &fs);
+      const auto r = fast.map_range_best(va, list_of(pfns), PageFlags::writable, &fs);
       ASSERT_EQ(r.error(),
                 twin_map_range_best(twin, va, pfns, PageFlags::writable, &ts).error());
       ++(r.ok() ? range_ok : range_failed);
       if (r.ok()) live.emplace_back(va, len);
     } else if (dice < 0.50) {
       const auto pfns = random_pfns(len);
-      ASSERT_EQ(fast.map_prefix(va, pfns, PageFlags::user, &fs),
+      ASSERT_EQ(fast.map_prefix(va, list_of(pfns), PageFlags::user, &fs),
                 twin_map_prefix(twin, va, pfns, PageFlags::user, &ts));
     } else if (dice < 0.75) {
       const auto r = fast.unmap_range(va, len, &fs);
@@ -345,7 +372,8 @@ TEST(PageTableDifferential, RangeOpsMatchPerPageTwin) {
       const auto got = fast.translate_range(va, len, &fs);
       const auto want = twin_translate_range(twin, va, len, &ts);
       ASSERT_EQ(got.ok(), want.ok());
-      if (got.ok()) ASSERT_EQ(got.value(), want.value());
+      // Equal lists, and maximal runs: list_of builds those.
+      if (got.ok()) ASSERT_EQ(got.value(), list_of(want.value()));
       ++(got.ok() ? range_ok : range_failed);
     }
     ASSERT_TRUE(same_stats(fs, ts))
@@ -372,100 +400,110 @@ TEST(PageTableDifferential, RangeOpsMatchPerPageTwin) {
 // ----------------------------------------------------------------- PfnList
 
 TEST(PfnList, WireBytesAre8PerEntry) {
-  PfnList l;
-  l.pfns = {Pfn{1}, Pfn{2}, Pfn{9}};
+  const PfnList l = list_of({Pfn{1}, Pfn{2}, Pfn{9}});
   EXPECT_EQ(l.wire_bytes(), 24u);
   EXPECT_EQ(l.byte_span(), 3 * kPageSize);
 }
 
 TEST(PfnList, ContiguousRunCompressesToOneExtent) {
   PfnList l;
-  for (u64 i = 100; i < 612; ++i) l.pfns.push_back(Pfn{i});
-  auto ext = l.extents();
-  ASSERT_EQ(ext.size(), 1u);
-  EXPECT_EQ(ext[0].start, Pfn{100});
-  EXPECT_EQ(ext[0].count, 512u);
+  for (u64 i = 100; i < 612; ++i) l.push_back(Pfn{i});
+  ASSERT_EQ(l.run_count(), 1u);
+  EXPECT_EQ(l.runs()[0], (hw::FrameExtent{Pfn{100}, 512}));
 }
 
 TEST(PfnList, ScatteredListStaysPerPage) {
   PfnList l;
-  for (u64 i = 0; i < 64; ++i) l.pfns.push_back(Pfn{i * 2});  // all gaps
-  EXPECT_EQ(l.extents().size(), 64u);
+  for (u64 i = 0; i < 64; ++i) l.push_back(Pfn{i * 2});  // all gaps
+  EXPECT_EQ(l.run_count(), 64u);
 }
 
-TEST(PfnList, ExtentRoundTrip) {
-  Rng rng(3);
-  PfnList l;
-  u64 p = 0;
-  for (int i = 0; i < 300; ++i) {
-    p += 1 + (rng.uniform() < 0.3 ? rng.uniform_u64(10) : 0);
-    l.pfns.push_back(Pfn{p});
-  }
-  EXPECT_EQ(PfnList::from_extents(l.extents()).pfns, l.pfns);
-}
-
-// Property: extents()/from_extents() round-trip exactly, and the in-place
-// counters agree with the materialized extents, across random lists and
-// the degenerate shapes (empty, single page, fully contiguous, alternating
-// gap-per-page).
-TEST(PfnList, ExtentRoundTripProperty) {
+// Property: a list built from frames and chunks (some continuing the last
+// run) matches a flat per-page oracle. Its runs are maximal; per-page
+// expansion, at() and slices across run boundaries equal the oracle's;
+// the wire charges are 8 B per page flat and 12 B per maximal run. Covers
+// random lists and the degenerate shapes: empty, single page, contiguous
+// and alternating gap-per-page.
+TEST(PfnList, RunsMatchFlatOracleProperty) {
   Rng rng(7);
+  auto check = [&](const PfnList& l, const std::vector<Pfn>& oracle) {
+    ASSERT_EQ(flat(l), oracle);
+    EXPECT_EQ(l.page_count(), oracle.size());
+    EXPECT_EQ(l.byte_span(), oracle.size() * kPageSize);
+    u64 breaks = 0;
+    for (size_t i = 0; i < oracle.size(); ++i) {
+      if (i == 0 || oracle[i - 1] + 1 != oracle[i]) ++breaks;
+      ASSERT_EQ(l.at(i), oracle[i]);
+    }
+    EXPECT_EQ(l.run_count(), breaks) << "runs must be maximal";
+    for (const auto& r : l.runs()) EXPECT_GT(r.count, 0u);
+    EXPECT_EQ(l.wire_bytes(), oracle.size() * 8);
+    EXPECT_EQ(l.extent_wire_bytes(), breaks * PfnList::kExtentWireBytes);
+    EXPECT_EQ(PfnList(l.runs()), l);
+    for (int s = 0; s < 8; ++s) {
+      const u64 first = rng.uniform_u64(oracle.size() + 1);
+      const u64 count = rng.uniform_u64(oracle.size() - first + 1);
+      const std::vector<Pfn> want(oracle.begin() + static_cast<long>(first),
+                                  oracle.begin() + static_cast<long>(first + count));
+      ASSERT_EQ(l.slice(first, count), list_of(want))
+          << "slice(" << first << ", " << count << ")";
+    }
+  };
+
   for (int trial = 0; trial < 200; ++trial) {
     PfnList l;
-    const u64 n = rng.uniform_u64(400);
-    u64 p = rng.uniform_u64(1 << 20);
-    for (u64 i = 0; i < n; ++i) {
-      // 60% continue the current run, 40% jump — exercises run lengths
-      // from 1 to hundreds within one list.
-      p += rng.uniform() < 0.6 ? 1 : 2 + rng.uniform_u64(1000);
-      l.pfns.push_back(Pfn{p});
+    std::vector<hw::FrameExtent> chunks;
+    std::vector<Pfn> oracle;
+    u64 next = rng.uniform_u64(1 << 20);
+    const u64 n = rng.uniform_u64(40);
+    for (u64 c = 0; c < n; ++c) {
+      // 40% of chunks continue the last run; the rest jump.
+      if (rng.uniform() >= 0.4) next += 1 + rng.uniform_u64(1000);
+      const hw::FrameExtent chunk{Pfn{next}, 1 + rng.uniform_u64(20)};
+      if (rng.uniform() < 0.5) {
+        l.append(chunk);
+      } else {
+        for (u64 k = 0; k < chunk.count; ++k) l.push_back(chunk.start + k);
+      }
+      chunks.push_back(chunk);
+      for (u64 k = 0; k < chunk.count; ++k) oracle.push_back(chunk.start + k);
+      next += chunk.count;
     }
-    const auto ext = l.extents();
-    EXPECT_EQ(ext.size(), l.extent_count());
-    EXPECT_EQ(l.extent_wire_bytes(), ext.size() * PfnList::kExtentWireBytes);
-    u64 total = 0;
-    for (const auto& e : ext) total += e.count;
-    EXPECT_EQ(total, l.page_count());
-    EXPECT_EQ(PfnList::from_extents(ext).pfns, l.pfns);
+    check(l, oracle);
+    EXPECT_EQ(PfnList(chunks), l);
   }
-}
 
-TEST(PfnList, ExtentRoundTripDegenerateShapes) {
-  PfnList empty;
-  EXPECT_EQ(empty.extent_count(), 0u);
-  EXPECT_EQ(empty.extent_wire_bytes(), 0u);
-  EXPECT_TRUE(PfnList::from_extents(empty.extents()).pfns.empty());
+  check(PfnList{}, {});
+  EXPECT_EQ(PfnList{}.extent_wire_bytes(), 0u);
 
-  PfnList single;
-  single.pfns = {Pfn{77}};
-  ASSERT_EQ(single.extents().size(), 1u);
-  EXPECT_EQ(single.extent_count(), 1u);
-  EXPECT_EQ(PfnList::from_extents(single.extents()).pfns, single.pfns);
+  check(list_of({Pfn{77}}), {Pfn{77}});
 
-  PfnList contiguous;
-  for (u64 i = 0; i < 1024; ++i) contiguous.pfns.push_back(Pfn{5000 + i});
-  EXPECT_EQ(contiguous.extent_count(), 1u);
-  EXPECT_EQ(contiguous.extent_wire_bytes(), PfnList::kExtentWireBytes);
+  PfnList contiguous;  // four adjacent chunks: one run
+  std::vector<Pfn> contiguous_oracle;
+  for (u64 c = 0; c < 4; ++c) {
+    contiguous.append(hw::FrameExtent{Pfn{5000 + 256 * c}, 256});
+  }
+  for (u64 i = 0; i < 1024; ++i) contiguous_oracle.push_back(Pfn{5000 + i});
+  check(contiguous, contiguous_oracle);
+  EXPECT_EQ(contiguous.run_count(), 1u);
   EXPECT_LT(contiguous.extent_wire_bytes(), contiguous.wire_bytes());
-  EXPECT_EQ(PfnList::from_extents(contiguous.extents()).pfns, contiguous.pfns);
 
-  // Alternating: every page its own extent — the shape where extent
-  // encoding (12 B/extent) is strictly worse than flat (8 B/page).
-  PfnList alternating;
-  for (u64 i = 0; i < 64; ++i) alternating.pfns.push_back(Pfn{i * 2});
-  EXPECT_EQ(alternating.extent_count(), 64u);
-  EXPECT_GT(alternating.extent_wire_bytes(), alternating.wire_bytes());
-  EXPECT_EQ(PfnList::from_extents(alternating.extents()).pfns, alternating.pfns);
+  // Alternating: every page its own run — the shape where the extent
+  // encoding (12 B/run) is strictly worse than flat (8 B/page).
+  std::vector<Pfn> alternating;
+  for (u64 i = 0; i < 64; ++i) alternating.push_back(Pfn{i * 2});
+  check(list_of(alternating), alternating);
+  EXPECT_GT(list_of(alternating).extent_wire_bytes(), list_of(alternating).wire_bytes());
 }
 
 TEST(PfnList, SliceCopiesWindow) {
   PfnList l;
-  for (u64 i = 0; i < 100; ++i) l.pfns.push_back(Pfn{i * 3});
+  for (u64 i = 0; i < 100; ++i) l.push_back(Pfn{i * 3});
   const PfnList w = l.slice(10, 5);
   ASSERT_EQ(w.page_count(), 5u);
-  for (u64 i = 0; i < 5; ++i) EXPECT_EQ(w.pfns[i], Pfn{(10 + i) * 3});
-  EXPECT_EQ(l.slice(0, 100).pfns, l.pfns);
-  EXPECT_EQ(l.slice(99, 1).pfns[0], Pfn{99 * 3});
+  for (u64 i = 0; i < 5; ++i) EXPECT_EQ(w.at(i), Pfn{(10 + i) * 3});
+  EXPECT_EQ(l.slice(0, 100), l);
+  EXPECT_EQ(l.slice(99, 1).at(0), Pfn{99 * 3});
 }
 
 }  // namespace

@@ -44,9 +44,7 @@ TEST(Kitten, ProcessImageIsEagerAndContiguous) {
   Process* p = kitten.create_process(8_MiB).value();
   EXPECT_EQ(p->pt().mapped_pages(), 2048u) << "static mapping at creation";
   // Contiguous frames: the image compresses to one extent.
-  auto pfns = p->pt().translate_range(p->image_base(), 2048).value();
-  mm::PfnList list{pfns};
-  EXPECT_EQ(list.extents().size(), 1u);
+  EXPECT_EQ(p->pt().translate_range(p->image_base(), 2048).value().run_count(), 1u);
   kitten.destroy_process(p);
   EXPECT_EQ(rig.machine.zone(0).free_frames(), rig.machine.zone(0).total_frames());
 }
@@ -95,7 +93,7 @@ TEST(Kitten, DynamicHeapExtensionMapsRemoteFrames) {
     Process* p = kitten.create_process(1_MiB).value();
     const u64 static_pages = p->pt().mapped_pages();
     mm::PfnList remote;
-    for (u64 i = 0; i < 64; ++i) remote.pfns.push_back(Pfn{500000 + i * 3});
+    for (u64 i = 0; i < 64; ++i) remote.push_back(Pfn{500000 + i * 3});
     auto va = co_await kitten.map_attachment(*p, remote, /*lazy=*/false, /*writable=*/true);
     CO_ASSERT_TRUE(va.ok());
     EXPECT_GE(va.value(), p->image_base() + 1_MiB)
@@ -115,9 +113,7 @@ TEST(Linux, ProcessFramesAreScattered) {
   Rig rig;
   auto linux_os = rig.make_linux();
   Process* p = linux_os.create_process(8_MiB).value();
-  auto pfns = p->pt().translate_range(p->image_base(), 2048).value();
-  mm::PfnList list{pfns};
-  EXPECT_GT(list.extents().size(), 10u)
+  EXPECT_GT(p->pt().translate_range(p->image_base(), 2048).value().run_count(), 10u)
       << "Linux page-at-a-time allocation must fragment the PFN list "
          "(this is what forces per-page Palacios map entries)";
 }
@@ -127,7 +123,7 @@ TEST(Linux, EagerRemoteMapChargesMoreThanKitten) {
   auto linux_os = rig.make_linux();
   auto kitten = rig.make_kitten();
   mm::PfnList remote;
-  for (u64 i = 0; i < 1024; ++i) remote.pfns.push_back(Pfn{600000 + i});
+  for (u64 i = 0; i < 1024; ++i) remote.push_back(Pfn{600000 + i});
 
   auto run = [&]() -> sim::Task<void> {
     Process* lp = linux_os.create_process(1_MiB).value();
@@ -154,7 +150,7 @@ TEST(Linux, SmpInterferenceInflatesConcurrentMaps) {
                           {&machine.core(0), &machine.core(1), &machine.core(2)},
                           &machine.core(0));
     mm::PfnList remote;
-    for (u64 i = 0; i < 4096; ++i) remote.pfns.push_back(Pfn{700000 + i});
+    for (u64 i = 0; i < 4096; ++i) remote.push_back(Pfn{700000 + i});
     u64 longest = 0;
     sim::Barrier done(static_cast<u64>(concurrent) + 1);
     auto worker = [&](int i) -> sim::Task<void> {
@@ -187,7 +183,7 @@ TEST(Linux, LazyAttachPartialTouchThenUnmapIsClean) {
   auto run = [&]() -> sim::Task<void> {
     Process* p = linux_os.create_process(1_MiB).value();
     mm::PfnList remote;
-    for (u64 i = 0; i < 256; ++i) remote.pfns.push_back(Pfn{800000 + i});
+    for (u64 i = 0; i < 256; ++i) remote.push_back(Pfn{800000 + i});
     auto va = co_await linux_os.map_attachment(*p, remote, /*lazy=*/true, /*writable=*/true);
     CO_ASSERT_TRUE(va.ok());
     EXPECT_EQ(linux_os.pending_fault_pages(), 256u);
@@ -245,8 +241,9 @@ TEST(GuestLinux, ExportReturnsHostFrames) {
     auto frames = co_await guest.service_make_pfn_list(*p, p->image_base(), 64);
     CO_ASSERT_TRUE(frames.ok());
     // Every frame must be a host frame inside the VM's backing zone.
-    for (Pfn f : frames.value().pfns) {
-      EXPECT_TRUE(rig.machine.zone(0).owns(f));
+    for (const auto& r : frames.value().runs()) {
+      EXPECT_TRUE(rig.machine.zone(0).owns(r.start));
+      EXPECT_TRUE(rig.machine.zone(0).owns(r.start + (r.count - 1)));
     }
   };
   rig.eng.run(run());
@@ -259,7 +256,7 @@ TEST(GuestLinux, AttachCreatesAndRetiresHotplugMappings) {
     Process* p = guest.create_process(1_MiB).value();
     const u64 base_entries = rig.vm.memory_map().entries();
     mm::PfnList host;
-    for (u64 i = 0; i < 512; ++i) host.pfns.push_back(Pfn{900000 + 2 * i});
+    for (u64 i = 0; i < 512; ++i) host.push_back(Pfn{900000 + 2 * i});
     auto va = co_await guest.map_attachment(*p, host, false, true);
     CO_ASSERT_TRUE(va.ok());
     EXPECT_EQ(rig.vm.memory_map().entries(), base_entries + 512);

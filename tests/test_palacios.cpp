@@ -222,18 +222,18 @@ TEST_P(MemoryMapTest, MisalignedRejected) {
 TEST_P(MemoryMapTest, TranslateFramesRoundTrip) {
   Rng rng(17);
   GuestMemoryMap m(GetParam());
-  std::vector<Gfn> gfns;
-  std::vector<Pfn> expected;
+  mm::PfnList gframes;
+  mm::PfnList expected;
   for (u64 i = 0; i < 300; ++i) {
     const Gfn g{1000 + i};
     const Pfn h{rng.uniform_u64(1 << 20)};
     ASSERT_TRUE(m.insert_region(g.paddr(), h.paddr(), kPageSize).ok());
-    gfns.push_back(g);
+    gframes.push_back(Pfn{g.value()});
     expected.push_back(h);
   }
-  auto host = m.translate_frames(gfns);
+  auto host = m.translate_frames(gframes);
   ASSERT_TRUE(host.ok());
-  EXPECT_EQ(host.value().pfns, expected);
+  EXPECT_EQ(host.value(), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, MemoryMapTest,
@@ -278,23 +278,31 @@ TEST(MemoryMapCost, TranslateFramesChargesPerPageWalks) {
                           kPageSize)
               .ok());
     }
+    // The fast side gets the gfns as runs; the per-page twin walks them
+    // one translate() at a time and is the reference.
+    auto runs_of = [](const std::vector<Gfn>& gfns) {
+      mm::PfnList l;
+      for (Gfn g : gfns) l.push_back(Pfn{g.value()});
+      return l;
+    };
     auto per_page = [&](const std::vector<Gfn>& gfns, MapWork& w) {
-      std::vector<Pfn> out;
+      mm::PfnList out;
       for (Gfn g : gfns) {
         auto hpa = m.translate(g.paddr(), &w);
         if (!hpa) return false;
         out.push_back(Pfn::of(*hpa));
       }
-      auto got = m.translate_frames(gfns);
-      return got.ok() && got.value().pfns == out;
+      auto got = m.translate_frames(runs_of(gfns));
+      return got.ok() && got.value() == out;
     };
     std::vector<Gfn> run;  // spans both regions, back and forth, then singles
     for (u64 g = 120; g < 164; ++g) run.push_back(Gfn{g});
     for (u64 g = 139; g > 130; --g) run.push_back(Gfn{g});
     for (u64 g = 300; g < 500; ++g) run.push_back(Gfn{g});
+    ASSERT_EQ(runs_of(run).run_count(), 11u) << "one run over both regions";
     MapWork fast;
     MapWork slow;
-    ASSERT_TRUE(m.translate_frames(run, &fast).ok());
+    ASSERT_TRUE(m.translate_frames(runs_of(run), &fast).ok());
     ASSERT_TRUE(per_page(run, slow));
     EXPECT_EQ(fast.steps, slow.steps);
     EXPECT_GT(fast.steps, run.size());
@@ -306,7 +314,7 @@ TEST(MemoryMapCost, TranslateFramesChargesPerPageWalks) {
     holey.push_back(Gfn{301});
     MapWork fast_err;
     MapWork slow_err;
-    EXPECT_FALSE(m.translate_frames(holey, &fast_err).ok());
+    EXPECT_FALSE(m.translate_frames(runs_of(holey), &fast_err).ok());
     EXPECT_FALSE(per_page(holey, slow_err));
     EXPECT_EQ(fast_err.steps, slow_err.steps);
   }
@@ -338,22 +346,24 @@ TEST(PalaciosVm, MapHostFramesCreatesPerPageEntries) {
 
   // Scattered host frames, as a Linux exporter would provide.
   auto scattered = pm.zone(0).alloc(512, hw::AllocPolicy::scattered).value();
-  mm::PfnList host = mm::PfnList::from_extents(scattered);
+  const mm::PfnList host(scattered);
   auto mapped = vm.map_host_frames(host);
   ASSERT_TRUE(mapped.ok());
-  auto& [gfns, work] = mapped.value();
-  EXPECT_EQ(gfns.size(), 512u);
+  auto& [window, work] = mapped.value();
+  EXPECT_EQ(window.count, 512u);
   EXPECT_EQ(vm.memory_map().entries(), base_entries + 512)
       << "one memory-map entry per attached page (paper section 4.4)";
   EXPECT_GT(work.rotations, 0u);
 
   // Figure 4(a)/(b) round trip: guest frames translate back to the host
   // frames we attached.
-  auto back = vm.guest_to_host(gfns);
+  mm::PfnList gframes;
+  gframes.append(window);
+  auto back = vm.guest_to_host(gframes);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().pfns, host.pfns);
+  EXPECT_EQ(back.value(), host);
 
-  auto unwork = vm.unmap_host_frames(gfns);
+  auto unwork = vm.unmap_host_frames(window);
   ASSERT_TRUE(unwork.ok());
   EXPECT_EQ(vm.memory_map().entries(), base_entries);
   for (auto e : scattered) pm.zone(0).free(e);
@@ -366,7 +376,7 @@ TEST(PalaciosVm, HotplugRegionIsReusedAfterUnmap) {
   PalaciosVm vm(cfg, pm.zone(0));
   ASSERT_TRUE(vm.init().ok());
   auto fr = pm.zone(0).alloc(64, hw::AllocPolicy::scattered).value();
-  mm::PfnList host = mm::PfnList::from_extents(fr);
+  const mm::PfnList host(fr);
   for (int round = 0; round < 100; ++round) {
     auto mapped = vm.map_host_frames(host);
     ASSERT_TRUE(mapped.ok());
