@@ -5,17 +5,15 @@
 // reports, per cell: simulated time, host wall-clock, and the end-state
 // checksum. The determinism contract is re-checked on every timed cell —
 // all engine variants of a cell must reproduce the serial checksum and
-// simulated end time bit-for-bit; only the wall-clock row may move. A
-// micro-section prices the event-pop path: popping the binary heap by
-// copy (the historical std::priority_queue-shaped access) vs by move,
-// with std::function payloads large enough to heap-allocate.
+// simulated end time bit-for-bit; only the wall-clock row may move. Every
+// row also records the host cost per executed event (host_ns_per_event =
+// wall_ms * 1e6 / events).
 //
 // The parallel engine targets >= 2x wall-clock at 16 enclaves / 4 workers;
 // that check needs >= 4 hardware threads and is reported as skipped on
 // smaller hosts (the determinism checks still run everywhere).
 //
 // Usage: ablation_sim_engine [--quick] [--json PATH]
-#include <array>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,6 +40,10 @@ struct Row {
   u64 events{0};
   bool clean{false};
   double speedup{0};  ///< serial wall / this wall, within the same cell
+
+  double host_ns_per_event() const {
+    return events > 0 ? wall_ms * 1e6 / static_cast<double>(events) : 0.0;
+  }
 };
 
 MultinodeParams coll_params(u32 nodes, bool quick) {
@@ -88,69 +90,20 @@ Row run_row(const char* workload, MultinodeParams p, sim::EngineKind kind,
   return row;
 }
 
-/// Price the event-pop path of the engine's binary heap: pop-by-copy (the
-/// historical std::priority_queue-shaped access, which deep-copies the
-/// std::function payload out of top()) vs pop-by-move (the hot path).
-struct PopCosts {
-  double copy_ms{0};
-  double move_ms{0};
-  u64 events{0};
-};
-
-PopCosts price_event_pop(u64 events, int reps) {
-  using sim::detail::Event;
-  using sim::detail::EventHeap;
-  // Capture large enough that std::function heap-allocates: a copy then
-  // costs an allocation + memcpy, a move steals the pointer.
-  struct Payload {
-    std::array<u64, 24> words{};
-  };
-  PopCosts out;
-  out.events = events;
-  out.copy_ms = 1e300;
-  out.move_ms = 1e300;
-  volatile u64 sink = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    Rng rng(42);
-    for (int mode = 0; mode < 2; ++mode) {
-      EventHeap heap;
-      for (u64 i = 0; i < events; ++i) {
-        Payload pl;
-        pl.words[0] = i;
-        heap.push(Event{rng.next() % 1'000'000, 0, 0, i, nullptr,
-                        [pl] { (void)pl; }});
-      }
-      bench::WallClock wc;
-      while (!heap.empty()) {
-        Event e = mode == 0 ? heap.pop_copy() : heap.pop_move();
-        sink = sink + e.t;
-      }
-      const double ms = wc.elapsed_ms();
-      if (mode == 0) {
-        out.copy_ms = std::min(out.copy_ms, ms);
-      } else {
-        out.move_ms = std::min(out.move_ms, ms);
-      }
-    }
-  }
-  (void)sink;
-  return out;
-}
-
 void print_rows(const std::vector<Row>& rows) {
-  std::printf("%-12s %6s %9s %12s %8s %10s %10s %8s %6s\n", "workload",
-              "nodes", "enclaves", "engine", "workers", "sim_ms", "wall_ms",
-              "speedup", "clean");
+  std::printf("%-12s %6s %9s %12s %8s %10s %10s %8s %12s %6s\n",
+              "workload", "nodes", "enclaves", "engine", "workers", "sim_ms",
+              "wall_ms", "speedup", "ns_per_event", "clean");
   for (const auto& r : rows) {
-    std::printf("%-12s %6u %9u %12s %8u %10.2f %10.1f %7.2fx %6s\n",
+    std::printf("%-12s %6u %9u %12s %8u %10.2f %10.1f %7.2fx %12.0f %6s\n",
                 r.workload.c_str(), r.nodes, r.enclaves, r.engine.c_str(),
                 r.workers, r.sim_ms, r.wall_ms, r.speedup,
-                r.clean ? "yes" : "NO");
+                r.host_ns_per_event(), r.clean ? "yes" : "NO");
   }
 }
 
 void write_json(const std::string& path, const std::vector<Row>& rows,
-                const PopCosts& pop, double speedup_16_4, bool passed) {
+                double speedup_16_4, bool passed) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -158,12 +111,8 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
   }
   std::fprintf(f,
                "{\n  \"bench\": \"ablation_sim_engine\",\n"
-               "  \"host_threads\": %u,\n"
-               "  \"event_pop\": {\"events\": %llu, \"pop_copy_ms\": %.3f, "
-               "\"pop_move_ms\": %.3f},\n  \"rows\": [\n",
-               std::thread::hardware_concurrency(),
-               static_cast<unsigned long long>(pop.events), pop.copy_ms,
-               pop.move_ms);
+               "  \"host_threads\": %u,\n  \"rows\": [\n",
+               std::thread::hardware_concurrency());
   for (size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
     std::fprintf(
@@ -171,11 +120,12 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
         "    {\"workload\": \"%s\", \"nodes\": %u, \"enclaves\": %u, "
         "\"engine\": \"%s\", \"workers\": %u, \"sim_ms\": %.3f, "
         "\"wall_ms\": %.1f, \"checksum\": %llu, \"events\": %llu, "
-        "\"speedup_vs_serial\": %.3f, \"clean\": %s}%s\n",
+        "\"host_ns_per_event\": %.0f, \"speedup_vs_serial\": %.3f, "
+        "\"clean\": %s}%s\n",
         r.workload.c_str(), r.nodes, r.enclaves, r.engine.c_str(), r.workers,
         r.sim_ms, r.wall_ms, static_cast<unsigned long long>(r.checksum),
-        static_cast<unsigned long long>(r.events), r.speedup,
-        r.clean ? "true" : "false", i + 1 < rows.size() ? "," : "");
+        static_cast<unsigned long long>(r.events), r.host_ns_per_event(),
+        r.speedup, r.clean ? "true" : "false", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f,
                "  ],\n  \"speedup_16_enclaves_4_workers\": %.3f,\n"
@@ -211,13 +161,6 @@ int main(int argc, char** argv) {
 
   const u32 host_threads = std::thread::hardware_concurrency();
   std::printf("host threads: %u\n\n", host_threads);
-
-  const PopCosts pop = price_event_pop(quick ? 50'000 : 150'000, 3);
-  std::printf(
-      "event-pop pricing (%llu events, heap-allocating callbacks):\n"
-      "  pop by copy: %.2f ms\n  pop by move: %.2f ms (%.2fx)\n\n",
-      static_cast<unsigned long long>(pop.events), pop.copy_ms, pop.move_ms,
-      pop.move_ms > 0 ? pop.copy_ms / pop.move_ms : 0.0);
 
   struct CellSpec {
     const char* workload;
@@ -265,9 +208,6 @@ int main(int argc, char** argv) {
   checks.expect(checksums_match,
                 "same seed, same checksum and simulated time on every "
                 "engine variant (bit-identical results)");
-  checks.expect(pop.move_ms <= pop.copy_ms * 1.10,
-                "pop-by-move does not lose to pop-by-copy (heap-allocating "
-                "payloads)");
   if (host_threads >= 4) {
     checks.expect(speedup_16_4 >= 2.0,
                   ">= 2x wall-clock at 16 enclaves / 4 workers");
@@ -279,7 +219,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    write_json(json_path, rows, pop, speedup_16_4, checks.all_passed());
+    write_json(json_path, rows, speedup_16_4, checks.all_passed());
     std::printf("\njson written to %s\n", json_path.c_str());
   }
   return checks.exit_code();

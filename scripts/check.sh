@@ -44,7 +44,8 @@ if [[ $tsan -eq 1 ]]; then
   # ctest -R filters by test name, not binary, so invoke the binaries
   # directly; these are the suites whose workloads cross partitions.
   for t in test_sim test_engine_equivalence test_fault test_net \
-           test_fabric_fault test_collectives test_iocache; do
+           test_fabric_fault test_collectives test_iocache test_hw \
+           test_robustness; do
     run_timed "tsan parallel ${t}" \
       env XEMEM_ENGINE=parallel ./build-tsan/tests/"$t"
   done

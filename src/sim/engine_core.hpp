@@ -1,7 +1,7 @@
-// Shared core of the discrete-event engines: the event record, the
-// binary-heap event queue, and the interface both engine implementations
-// (serial_engine.hpp, parallel_engine.hpp) present to the sim::Engine
-// facade in engine.hpp.
+// Shared core of the discrete-event engines: the 32-byte event record, the
+// 4-ary event heap, the callback table, and the interface both engine
+// implementations (serial_engine.hpp, parallel_engine.hpp) present to the
+// sim::Engine facade in engine.hpp.
 //
 // Events are totally ordered by the key `(time, creating partition,
 // per-partition sequence)`. A single-partition run degenerates to the
@@ -17,6 +17,8 @@
 #include <coroutine>
 #include <functional>
 #include <limits>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -58,61 +60,133 @@ inline TimePoint sat_add(TimePoint a, Duration b) {
   return a > kInfTime - b ? kInfTime : a + b;
 }
 
-/// One scheduled wakeup: either a coroutine resumption or a plain
-/// callback (processor-sharing timers, cross-partition channel
-/// deliveries).
+/// Event keys pack (creating partition, that partition's sequence number)
+/// into one word, partition in the top 16 bits, so the total order is a
+/// plain compare on (t, key).
+inline constexpr u32 kPartBits = 16;
+inline constexpr u32 kSeqBits = 64 - kPartBits;
+inline constexpr u64 kMaxPartitions = u64{1} << kPartBits;
+inline constexpr u64 kSeqLimit = u64{1} << kSeqBits;
+
+inline u64 pack_key(u32 part, u64 seq) {
+  XEMEM_ASSERT_MSG(part < kMaxPartitions, "partition id exceeds the event key");
+  XEMEM_ASSERT_MSG(seq < kSeqLimit, "sequence number exceeds the event key");
+  return (u64{part} << kSeqBits) | seq;
+}
+
+/// One scheduled wakeup: a trivially copyable 32-byte record. The payload
+/// is tagged by its low bit: a coroutine frame address (frames are at
+/// least 2-byte aligned, so the bit is clear), or `(slot << 1) | 1`, an
+/// index into the executing partition's CallbackTable.
 struct Event {
   TimePoint t{};
-  u32 key_part{0};    ///< partition that created the event (key component)
+  u64 key{0};         ///< pack_key(creating partition, its sequence number)
+  u64 payload{0};     ///< tagged coroutine handle or callback slot
   u32 owner_part{0};  ///< partition whose clock/queue executes it
-  u64 key_seq{0};     ///< creating partition's sequence number
-  std::coroutine_handle<> h{};
-  std::function<void()> fn{};
+
+  static Event resume(TimePoint t, u64 key, u32 owner,
+                      std::coroutine_handle<> h) {
+    const auto addr = reinterpret_cast<u64>(h.address());
+    XEMEM_ASSERT((addr & 1) == 0);
+    return Event{t, key, addr, owner};
+  }
+  static Event callback(TimePoint t, u64 key, u32 owner, u32 slot) {
+    return Event{t, key, (u64{slot} << 1) | 1, owner};
+  }
+
+  bool is_callback() const { return (payload & 1) != 0; }
+  u32 slot() const { return static_cast<u32>(payload >> 1); }
+  std::coroutine_handle<> handle() const {
+    return std::coroutine_handle<>::from_address(
+        reinterpret_cast<void*>(payload));
+  }
+  u32 key_part() const { return static_cast<u32>(key >> kSeqBits); }
+  u64 key_seq() const { return key & (kSeqLimit - 1); }
 
   bool before(const Event& o) const {
-    if (t != o.t) return t < o.t;
-    if (key_part != o.key_part) return key_part < o.key_part;
-    return key_seq < o.key_seq;
+    using u128 = unsigned __int128;
+    return ((u128{t} << 64) | key) < ((u128{o.t} << 64) | o.key);
   }
 };
+static_assert(std::is_trivially_copyable_v<Event> && sizeof(Event) <= 32);
 
-/// Min-heap of events on (t, key_part, key_seq). Unlike
-/// std::priority_queue, pop_move() moves the event out of the heap —
-/// `Event::fn` is a std::function whose copy reallocates any non-trivial
-/// capture, and the old `queue_.top()` copy sat on the hottest loop of
-/// the whole simulator. pop_copy() preserves the historical copying pop
-/// so the ablation bench can price the difference.
+/// Min-heap of events on (t, key): a 4-ary heap, so a pop walks half the
+/// levels of a binary heap, picking the least of four contiguous children
+/// per level. The key is unique per event, so the pop order is the same
+/// total order whatever the heap's shape.
 class EventHeap {
  public:
   bool empty() const { return v_.empty(); }
   u64 size() const { return v_.size(); }
   const Event& top() const { return v_.front(); }
 
-  void push(Event e) {
-    v_.push_back(std::move(e));
-    std::push_heap(v_.begin(), v_.end(), heap_later);
+  void push(const Event& e) {
+    size_t i = v_.size();
+    v_.push_back(e);
+    while (i > 0) {
+      const size_t parent = (i - 1) / 4;
+      if (!e.before(v_[parent])) break;
+      v_[i] = v_[parent];
+      i = parent;
+    }
+    v_[i] = e;
   }
 
-  Event pop_move() {
-    std::pop_heap(v_.begin(), v_.end(), heap_later);
-    Event e = std::move(v_.back());
+  Event pop() {
+    const Event top = v_.front();
+    const Event last = v_.back();
     v_.pop_back();
-    return e;
-  }
-
-  Event pop_copy() {
-    Event e = v_.front();  // deliberate copy (see class comment)
-    std::pop_heap(v_.begin(), v_.end(), heap_later);
-    v_.pop_back();
-    return e;
+    const size_t n = v_.size();
+    if (n == 0) return top;
+    size_t i = 0;
+    for (;;) {
+      const size_t first = 4 * i + 1;
+      if (first >= n) break;
+      const size_t end = std::min(first + 4, n);
+      size_t best = first;
+      for (size_t c = first + 1; c < end; ++c) {
+        if (v_[c].before(v_[best])) best = c;
+      }
+      if (!v_[best].before(last)) break;
+      v_[i] = v_[best];
+      i = best;
+    }
+    v_[i] = last;
+    return top;
   }
 
  private:
-  // std::push_heap builds a max-heap under its comparator; "a sorts later
-  // than b" makes the earliest event the heap top.
-  static bool heap_later(const Event& a, const Event& b) { return b.before(a); }
-
   std::vector<Event> v_;
+};
+
+/// Free-listed table of call_at/call_in callbacks, one per serial engine
+/// and one per parallel partition; only the thread executing that engine
+/// or partition touches it. Events carry slot indices, so the heap moves
+/// 32-byte records instead of std::function objects.
+class CallbackTable {
+ public:
+  u32 put(std::function<void()> fn) {
+    if (free_.empty()) {
+      slots_.push_back(std::move(fn));
+      return static_cast<u32>(slots_.size() - 1);
+    }
+    const u32 slot = free_.back();
+    free_.pop_back();
+    slots_[slot] = std::move(fn);
+    return slot;
+  }
+
+  /// Move the callback out and free its slot, so the callback may
+  /// schedule further callbacks (and grow the table) while it runs.
+  std::function<void()> take(u32 slot) {
+    std::function<void()> fn = std::exchange(slots_[slot], nullptr);
+    free_.push_back(slot);
+    return fn;
+  }
+
+ private:
+  std::vector<std::function<void()>> slots_;
+  std::vector<u32> free_;
 };
 
 /// A detached actor kept alive by the engine until completion. Destroying

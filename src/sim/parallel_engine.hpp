@@ -33,6 +33,22 @@
 // violate a computed horizon is therefore already visible in the inbox
 // when the horizon is used.
 //
+// Termination. pending_ counts events queued or inboxed anywhere. A
+// visit does no atomic work per event: it nets its local pushes against
+// its executions in Part::pending_net and adds that net to pending_ once,
+// before it publishes its clock. While the visit runs, pending_ still
+// counts every event the partition held when the visit began, which is at
+// least one whenever the visit executes anything, and a cross-partition
+// call_in increments pending_ before the event enters the inbox. So
+// pending_ never reads zero while any event is queued, inboxed or
+// executing, and a zero read means the run is idle (or, for a root run,
+// deadlocked).
+//
+// Callbacks. Each partition owns a CallbackTable; its events carry slot
+// indices into it. A cross-partition call_in carries the std::function
+// itself through the inbox, and the destination files it into its own
+// table when it drains, so every table is touched by one thread only.
+//
 // Determinism. Events carry the key (t, creating partition, creating
 // partition's sequence number) — all simulation-derived, never wall-clock
 // arrival order — so each partition pops its events in exactly the order
@@ -71,13 +87,14 @@ class ParallelEngine final : public EngineImpl {
   void schedule_at(TimePoint t, std::coroutine_handle<> h) override {
     Part& p = cur_part();
     XEMEM_ASSERT(t >= p.now);
-    push_local(p, Event{t, p.id, p.id, p.seq++, h, {}});
+    push_local(p, Event::resume(t, next_key(p), p.id, h));
   }
 
   void call_at(TimePoint t, std::function<void()> fn) override {
     Part& p = cur_part();
     XEMEM_ASSERT(t >= p.now);
-    push_local(p, Event{t, p.id, p.id, p.seq++, nullptr, std::move(fn)});
+    const u32 slot = p.callbacks.put(std::move(fn));
+    push_local(p, Event::callback(t, next_key(p), p.id, slot));
   }
 
   void call_in(u32 part, TimePoint t, std::function<void()> fn) override {
@@ -89,12 +106,15 @@ class ParallelEngine final : public EngineImpl {
     }
     XEMEM_ASSERT_MSG(t >= sat_add(src.now, lookahead_),
                      "cross-partition event inside the lookahead window");
-    Event e{t, src.id, part, src.seq++, nullptr, std::move(fn)};
+    // The destination's table is not ours to touch: the callback travels
+    // in the inbox and drain_inbox() files it there. Counted at once, so
+    // the destination's work is in pending_ before this visit ends.
+    Inbound in{t, next_key(src), std::move(fn)};
     Part& dst = *parts_[part];
     pending_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> g(dst.inbox_mu);
-      dst.inbox.push_back(std::move(e));
+      dst.inbox.push_back(std::move(in));
       dst.inbox_flag.store(true, std::memory_order_release);
     }
   }
@@ -108,13 +128,13 @@ class ParallelEngine final : public EngineImpl {
     node->handle = task.release();
     node->handle.promise().done_flag = &node->done;
     p.detached.push_back(std::move(node));
-    push_local(p, Event{p.now, p.id, p.id, p.seq++,
-                        p.detached.back()->handle, {}});
+    push_local(p, Event::resume(p.now, next_key(p), p.id,
+                                p.detached.back()->handle));
   }
 
   void run_root(std::coroutine_handle<> h, bool* done) override {
     Part& p0 = *parts_[0];
-    push_local(p0, Event{p0.now, 0, 0, p0.seq++, h, {}});
+    push_local(p0, Event::resume(p0.now, next_key(p0), 0, h));
     run_workers(Mode::root, done);
     XEMEM_ASSERT_MSG(!deadlock_,
                      "simulation deadlocked: main task never finished");
@@ -149,6 +169,8 @@ class ParallelEngine final : public EngineImpl {
 
   void set_partitions(u32 n, Duration lookahead) override {
     XEMEM_ASSERT(n >= 1 && !running_);
+    XEMEM_ASSERT_MSG(n <= kMaxPartitions,
+                     "too many partitions for the event key");
     XEMEM_ASSERT_MSG(parts_.size() == 1 && parts_[0]->seq == 0,
                      "set_partitions() must precede any scheduling");
     XEMEM_ASSERT_MSG(n == 1 || lookahead > 0,
@@ -192,13 +214,24 @@ class ParallelEngine final : public EngineImpl {
   /// and letting sibling partitions on the same worker advance.
   static constexpr u32 kBatchEvents = 64;
 
+  /// A callback sent from another partition, waiting in the inbox.
+  struct Inbound {
+    TimePoint t;
+    u64 key;
+    std::function<void()> fn;
+  };
+
   struct Part {
     const u32 id;
     TimePoint now{kTimeZero};
     u64 seq{0};
     u64 processed{0};
     u64 steps_since_reap{0};
+    /// Local pushes minus executions not yet added to pending_.
+    i64 pending_net{0};
     EventHeap queue;
+    CallbackTable callbacks;
+    std::vector<Inbound> drained;  ///< reused buffer of drain_inbox()
     std::vector<std::unique_ptr<Detached>> detached;
     Rng rng;
 
@@ -206,7 +239,7 @@ class ParallelEngine final : public EngineImpl {
     alignas(64) std::atomic<TimePoint> clock{kTimeZero};
     std::atomic<bool> inbox_flag{false};
     std::mutex inbox_mu;
-    std::vector<Event> inbox;
+    std::vector<Inbound> inbox;
 
     Part(u32 i, u64 seed) : id(i), rng(seed) {}
   };
@@ -242,26 +275,38 @@ class ParallelEngine final : public EngineImpl {
     return tls_.eng == this && tls_.part != nullptr ? *tls_.part : *parts_[0];
   }
 
-  void push_local(Part& p, Event e) {
-    pending_.fetch_add(1, std::memory_order_relaxed);
-    p.queue.push(std::move(e));
+  static u64 next_key(Part& p) { return pack_key(p.id, p.seq++); }
+
+  static void push_local(Part& p, const Event& e) {
+    ++p.pending_net;
+    p.queue.push(e);
   }
 
-  void exec_one(Part& p) {
-    Event ev = p.queue.pop_move();
+  static void exec_one(Part& p) {
+    const Event ev = p.queue.pop();
     XEMEM_ASSERT(ev.t >= p.now);
     p.now = ev.t;
-    if (ev.h) {
-      ev.h.resume();
+    if (ev.is_callback()) {
+      p.callbacks.take(ev.slot())();
     } else {
-      ev.fn();
+      ev.handle().resume();
     }
     ++p.processed;
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
+    --p.pending_net;
     if (++p.steps_since_reap >= 4096) reap(p);
   }
 
-  void reap(Part& p) {
+  /// Add p's net of local pushes and executions to pending_. Called once
+  /// per visit, before the clock publish, and for every partition before
+  /// workers start (setup-time spawns, run_until() and step() net here).
+  void flush_pending(Part& p) {
+    if (p.pending_net == 0) return;
+    pending_.fetch_add(static_cast<u64>(p.pending_net),
+                       std::memory_order_acq_rel);
+    p.pending_net = 0;
+  }
+
+  static void reap(Part& p) {
     p.steps_since_reap = 0;
     std::erase_if(p.detached,
                   [](const std::unique_ptr<Detached>& d) { return d->done; });
@@ -277,15 +322,20 @@ class ParallelEngine final : public EngineImpl {
     return hz;
   }
 
-  void drain_inbox(Part& p) {
+  /// Move inbox callbacks into p's own table and heap. They were counted
+  /// in pending_ when sent, so the pending net does not change.
+  static void drain_inbox(Part& p) {
     if (!p.inbox_flag.load(std::memory_order_acquire)) return;
-    std::vector<Event> in;
     {
       std::lock_guard<std::mutex> g(p.inbox_mu);
-      in.swap(p.inbox);
+      p.drained.swap(p.inbox);
       p.inbox_flag.store(false, std::memory_order_relaxed);
     }
-    for (auto& e : in) p.queue.push(std::move(e));
+    for (auto& in : p.drained) {
+      const u32 slot = p.callbacks.put(std::move(in.fn));
+      p.queue.push(Event::callback(in.t, in.key, p.id, slot));
+    }
+    p.drained.clear();
   }
 
   /// One visit to partition p: drain, execute a bounded batch below the
@@ -311,6 +361,7 @@ class ParallelEngine final : public EngineImpl {
       }
       if (stop_.load(std::memory_order_relaxed)) break;
     }
+    flush_pending(p);
     // Publish min(head, horizon): the earliest time at which p could
     // still execute anything (monotone; hz is a stale-read lower bound).
     const TimePoint head = p.queue.empty() ? kInfTime : p.queue.top().t;
@@ -336,10 +387,11 @@ class ParallelEngine final : public EngineImpl {
           break;
         }
         if (pending_.load(std::memory_order_acquire) == 0) {
-          // Globally idle: nothing queued, inboxed, or executing (the
-          // counter drops only after an event — and all its pushes —
-          // finished). For a root run that means the main task can never
-          // resume: report the deadlock from the root worker.
+          // Globally idle: nothing queued, inboxed, or executing (a visit
+          // subtracts its executions only at its end, together with its
+          // pushes; see flush_pending). For a root run that means the main
+          // task can never resume: report the deadlock from the root
+          // worker.
           if (mode == Mode::root) {
             if (w == 0) {
               deadlock_ = !*root_done;
@@ -380,9 +432,10 @@ class ParallelEngine final : public EngineImpl {
       if (!p->queue.empty()) lb = std::min(lb, p->queue.top().t);
       {
         std::lock_guard<std::mutex> g(p->inbox_mu);
-        for (const auto& e : p->inbox) lb = std::min(lb, e.t);
+        for (const auto& in : p->inbox) lb = std::min(lb, in.t);
       }
       p->clock.store(lb, std::memory_order_relaxed);
+      flush_pending(*p);
     }
     running_ = true;
     const u32 W = effective_workers();

@@ -38,25 +38,20 @@ class SerialEngine final : public EngineImpl {
 
   void schedule_at(TimePoint t, std::coroutine_handle<> h) override {
     XEMEM_ASSERT(t >= now_);
-    push(Event{t, cur_part_, cur_part_, parts_[cur_part_]->seq++, h, {}});
+    queue_.push(Event::resume(t, next_key(cur_part_), cur_part_, h));
   }
 
   void call_at(TimePoint t, std::function<void()> fn) override {
-    XEMEM_ASSERT(t >= now_);
-    push(Event{t, cur_part_, cur_part_, parts_[cur_part_]->seq++, nullptr,
-               std::move(fn)});
+    call_in(cur_part_, t, std::move(fn));
   }
 
   void call_in(u32 part, TimePoint t, std::function<void()> fn) override {
     XEMEM_ASSERT(part < parts_.size());
-    if (part == cur_part_) {
-      call_at(t, std::move(fn));
-      return;
-    }
-    XEMEM_ASSERT_MSG(t >= sat_add(now_, lookahead_),
+    XEMEM_ASSERT(t >= now_);
+    XEMEM_ASSERT_MSG(part == cur_part_ || t >= sat_add(now_, lookahead_),
                      "cross-partition event inside the lookahead window");
-    push(Event{t, cur_part_, part, parts_[cur_part_]->seq++, nullptr,
-               std::move(fn)});
+    queue_.push(Event::callback(t, next_key(cur_part_), part,
+                                callbacks_.put(std::move(fn))));
   }
 
   void spawn_in(u32 part, Task<void> task) override {
@@ -67,8 +62,8 @@ class SerialEngine final : public EngineImpl {
     node->handle = task.release();
     node->handle.promise().done_flag = &node->done;
     detached_.push_back(std::move(node));
-    push(Event{now_, part, part, parts_[part]->seq++,
-               detached_.back()->handle, {}});
+    queue_.push(
+        Event::resume(now_, next_key(part), part, detached_.back()->handle));
   }
 
   void run_root(std::coroutine_handle<> h, bool* done) override {
@@ -105,6 +100,8 @@ class SerialEngine final : public EngineImpl {
 
   void set_partitions(u32 n, Duration lookahead) override {
     XEMEM_ASSERT(n >= 1 && !running_);
+    XEMEM_ASSERT_MSG(n <= kMaxPartitions,
+                     "too many partitions for the event key");
     XEMEM_ASSERT_MSG(queue_.empty() && parts_.size() == 1 &&
                          parts_[0]->seq == 0,
                      "set_partitions() must precede any scheduling");
@@ -134,20 +131,20 @@ class SerialEngine final : public EngineImpl {
     explicit Part(u64 seed) : rng(seed) {}
   };
 
-  void push(Event e) { queue_.push(std::move(e)); }
+  u64 next_key(u32 part) { return pack_key(part, parts_[part]->seq++); }
 
   bool step_one() {
     if (queue_.empty()) return false;
-    Event ev = queue_.pop_move();
+    const Event ev = queue_.pop();
     XEMEM_ASSERT(ev.t >= now_);
     now_ = ev.t;
     cur_part_ = ev.owner_part;
     Engine* prev = g_current_engine;
     g_current_engine = owner_;
-    if (ev.h) {
-      ev.h.resume();
+    if (ev.is_callback()) {
+      callbacks_.take(ev.slot())();
     } else {
-      ev.fn();
+      ev.handle().resume();
     }
     g_current_engine = prev;
     cur_part_ = 0;  // outside event execution, context reverts to partition 0
@@ -171,6 +168,7 @@ class SerialEngine final : public EngineImpl {
   bool running_{false};
   Duration lookahead_{0};
   EventHeap queue_;
+  CallbackTable callbacks_;
   std::vector<std::unique_ptr<Part>> parts_;
   std::vector<std::unique_ptr<Detached>> detached_;
 };

@@ -3,8 +3,10 @@
 // Every simulated activity — an OS servicing an attachment, a workload
 // iterating its solver loop, an IPI handler — is a `sim::Task<T>`
 // coroutine. Tasks are lazy (they do not run until awaited or spawned on
-// an Engine) and single-threaded: the whole simulation executes inside one
-// OS thread, so determinism is structural, not locked-in.
+// an Engine) and never shared between threads: the serial engine runs
+// everything on one OS thread, and the parallel engine runs each partition
+// on one worker thread per run, with tasks confined to their partition.
+// Determinism comes from the event order, not from locks.
 //
 // Ownership: the Task object owns the coroutine frame and destroys it in
 // its destructor. Awaiting a child task keeps the Task object alive in the

@@ -1,8 +1,12 @@
 // Unit tests for the discrete-event simulation engine: clock behaviour,
 // event ordering, coroutine task composition, synchronization primitives,
-// and the processor-sharing bandwidth model.
+// the processor-sharing bandwidth model, and the event core (4-ary heap
+// against a sorted oracle, callback tables on both engines).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -434,11 +438,19 @@ TEST(Engine, CrossPartitionCallInHonorsLookahead) {
     eng.set_partitions(2, /*lookahead=*/1_us);
     u32 part = ~0u;
     u64 when = 0;
+    // A capture larger than std::function's inline buffer travels the
+    // inbox on the heap and must arrive intact.
+    std::array<u64, 24> sent{};
+    for (u64 i = 0; i < sent.size(); ++i) {
+      sent[i] = 0x9e3779b97f4a7c15ull * (i + 1);
+    }
+    std::array<u64, 24> got{};
     auto sender = [&]() -> Task<void> {
       auto* e = Engine::current();
-      e->call_in(0, e->now() + 2_us, [&] {
+      e->call_in(0, e->now() + 2_us, [&, words = sent] {
         part = Engine::current()->current_partition();
         when = Engine::current()->now();
+        got = words;
       });
       co_return;
     };
@@ -446,6 +458,7 @@ TEST(Engine, CrossPartitionCallInHonorsLookahead) {
     eng.run([]() -> Task<void> { co_await delay(10_us); }());
     EXPECT_EQ(part, 0u);
     EXPECT_EQ(when, 2_us);
+    EXPECT_EQ(got, sent);
   }
 }
 
@@ -483,6 +496,168 @@ TEST(Engine, PublishedClocksResetAcrossRuns) {
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 2_ms + 2_us);
   EXPECT_EQ(order[1], 2_ms + 5_us);
+}
+
+// ------------------------------------------------------------ event core
+
+constexpr EngineKind kBothEngines[] = {EngineKind::serial,
+                                       EngineKind::parallel};
+
+/// Differential check of the 4-ary EventHeap against a sorted oracle on
+/// (t, key_part, key_seq). Times come from a tiny range and keys from four
+/// partitions, so most comparisons are ties on t broken by the key.
+TEST(EventHeap, PopOrderMatchesSortedOracle) {
+  using detail::Event;
+  using Key = std::tuple<TimePoint, u32, u64>;
+  Rng rng(2024);
+  std::array<u64, 4> seq{};
+  detail::EventHeap heap;
+  std::set<Key> oracle;
+  auto push = [&] {
+    const TimePoint t = rng.next() % 4;
+    const u32 part = static_cast<u32>(rng.next() % seq.size());
+    const u64 s = seq[part]++;
+    heap.push(Event::callback(t, detail::pack_key(part, s), part, 0));
+    oracle.emplace(t, part, s);
+  };
+  // True if the heap pops the oracle's minimum (which is consumed).
+  auto pop_matches = [&] {
+    if (heap.empty() || oracle.empty()) return false;
+    const Event e = heap.pop();
+    const Key want = *oracle.begin();
+    oracle.erase(oracle.begin());
+    return Key(e.t, e.key_part(), e.key_seq()) == want;
+  };
+  // Sizes at the 4-ary boundaries: 5 and 21 events fill two and three
+  // levels. Each round moves the heap through n - 1, n and n + 1.
+  for (u32 n : {0u, 1u, 4u, 5u, 20u, 21u, 22u}) {
+    for (u32 i = 0; i < n; ++i) push();
+    ASSERT_EQ(heap.size(), n);
+    for (int round = 0; round < 40; ++round) {
+      push();
+      ASSERT_TRUE(pop_matches()) << "size " << n << ", round " << round;
+      if (n > 0) {
+        ASSERT_TRUE(pop_matches()) << "size " << n << ", round " << round;
+        push();
+      }
+      ASSERT_EQ(heap.size(), n);
+    }
+    while (!oracle.empty()) ASSERT_TRUE(pop_matches()) << "draining size " << n;
+    ASSERT_TRUE(heap.empty());
+  }
+  // Long random interleaving; pushes outnumber pops 5:3, so the heap
+  // grows to a few thousand events.
+  for (int op = 0; op < 20000; ++op) {
+    if (oracle.empty() || rng.next() % 8 < 5) {
+      push();
+    } else {
+      ASSERT_TRUE(pop_matches()) << "op " << op;
+    }
+    ASSERT_EQ(heap.size(), oracle.size());
+  }
+  while (!oracle.empty()) ASSERT_TRUE(pop_matches()) << "final drain";
+  EXPECT_TRUE(heap.empty());
+}
+
+/// A shared_ptr whose deleter counts how often its object is deleted.
+std::shared_ptr<int> counted_token(int& deleted) {
+  return std::shared_ptr<int>(new int(7), [&deleted](int* p) {
+    ++deleted;
+    delete p;
+  });
+}
+
+TEST(CallbackTable, CaptureReleasedOnceAfterItsCallbackRuns) {
+  for (EngineKind kind : kBothEngines) {
+    Engine eng(1, kind, 1);
+    int deleted = 0;
+    auto token = counted_token(deleted);
+    long during = 0;
+    eng.call_at(10, [token, &during] { during = token.use_count(); });
+    EXPECT_EQ(token.use_count(), 2);
+    eng.run_until_idle();
+    EXPECT_EQ(during, 2) << "the callback owns its capture while it runs";
+    EXPECT_EQ(token.use_count(), 1) << "capture released after the run";
+    // The freed slot is reused by the next callback without touching the
+    // released capture.
+    int reused = 0;
+    eng.call_at(20, [&reused] { ++reused; });
+    eng.run_until_idle();
+    EXPECT_EQ(reused, 1);
+    EXPECT_EQ(deleted, 0);
+    token.reset();
+    EXPECT_EQ(deleted, 1);
+  }
+}
+
+TEST(CallbackTable, QueuedCallbacksReleasedAtTeardown) {
+  for (EngineKind kind : kBothEngines) {
+    int deleted = 0;
+    auto token = counted_token(deleted);
+    // Never run: one callback in partition 0's table, one in partition 1's
+    // (on the parallel engine, still in its inbox).
+    {
+      Engine eng(3, kind, 2);
+      eng.set_partitions(2, /*lookahead=*/1_us);
+      eng.call_at(5_us, [token, pad = std::array<u64, 24>{}] { (void)pad; });
+      eng.call_in(1, 2_us, [token, pad = std::array<u64, 24>{}] { (void)pad; });
+      EXPECT_EQ(token.use_count(), 3);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+    // Run, then stop with callbacks still queued behind the root task.
+    {
+      Engine eng(3, kind, 1);
+      for (u64 i = 0; i < 5; ++i) {
+        eng.call_at(20_us + i,
+                    [token, pad = std::array<u64, 24>{}] { (void)pad; });
+      }
+      eng.run([]() -> Task<void> { co_await delay(10_us); }());
+      EXPECT_EQ(token.use_count(), 6);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+    token.reset();
+    EXPECT_EQ(deleted, 1);
+  }
+}
+
+TEST(CallbackTable, NestedSameTimeCallbacksRunInFifoOrder) {
+  for (EngineKind kind : kBothEngines) {
+    Engine eng(1, kind, 1);
+    std::vector<int> order;
+    eng.call_at(10, [&order] {
+      order.push_back(0);
+      auto* e = Engine::current();
+      // Two at a later common time, then two at the current time: each
+      // pair runs in the order it was scheduled.
+      e->call_at(20, [&order] { order.push_back(3); });
+      e->call_at(20, [&order] { order.push_back(4); });
+      e->call_at(e->now(), [&order] { order.push_back(1); });
+      e->call_at(e->now(), [&order] { order.push_back(2); });
+    });
+    eng.run_until_idle();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  }
+}
+
+TEST(EventKeyDeathTest, PackedPartitionAndSequenceBounds) {
+  using detail::kMaxPartitions;
+  using detail::kSeqLimit;
+  const u64 top = detail::pack_key(static_cast<u32>(kMaxPartitions - 1),
+                                   kSeqLimit - 1);
+  const auto e = detail::Event::callback(0, top, 0, 0);
+  EXPECT_EQ(e.key_part(), kMaxPartitions - 1);
+  EXPECT_EQ(e.key_seq(), kSeqLimit - 1);
+  EXPECT_DEATH(detail::pack_key(0, kSeqLimit), "sequence number exceeds");
+  EXPECT_DEATH(detail::pack_key(static_cast<u32>(kMaxPartitions), 0),
+               "partition id exceeds");
+  for (EngineKind kind : kBothEngines) {
+    EXPECT_DEATH(
+        {
+          Engine eng(1, kind, 1);
+          eng.set_partitions(static_cast<u32>(kMaxPartitions + 1), 1_us);
+        },
+        "too many partitions");
+  }
 }
 
 }  // namespace
