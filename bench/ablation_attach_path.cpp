@@ -43,7 +43,7 @@ KernelConfig base_config(bool fast) {
   cfg.max_retries = 6;
   cfg.backoff_base = 100_us;
   cfg.backoff_max = 1_ms;
-  if (fast) cfg.enable_attach_fast_path();
+  cfg.attach_fast_path = fast;
   return cfg;
 }
 
@@ -268,22 +268,7 @@ const Row* find(const std::vector<Row>& rows, const char* os, const char* topo,
 int main(int argc, char** argv) {
   using namespace xemem;
   const bench::WallClock wall_clock;
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--engine" && i + 1 < argc) {
-      if (!bench::set_engine_mode(argv[++i])) return 2;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json PATH] "
-                   "[--engine serial|parallel[:N]]\n", argv[0]);
-      return 2;
-    }
-  }
+  const auto [quick, json_path] = bench::parse_args(argc, argv, true);
 
   bench::header(
       "Ablation: attach fast path (extents, route cache, walk memo, reuse)",

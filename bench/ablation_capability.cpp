@@ -38,8 +38,8 @@ KernelConfig cap_config(bool caps) {
   cfg.backoff_base = 100_us;
   cfg.backoff_max = 400_us;
   cfg.lease_duration = 5_ms;
-  cfg.enable_attach_fast_path();
-  if (caps) cfg.enable_capabilities();
+  cfg.attach_fast_path = true;
+  cfg.capabilities = caps;
   return cfg;
 }
 
@@ -197,8 +197,8 @@ WarmRow run_warm(bool caps, int repeats) {
   cfg.max_retries = 6;
   cfg.backoff_base = 100_us;
   cfg.backoff_max = 1_ms;
-  cfg.enable_attach_fast_path();
-  if (caps) cfg.enable_capabilities();
+  cfg.attach_fast_path = true;
+  cfg.capabilities = caps;
   node.set_kernel_config(cfg);
   auto& mgmt = node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
   auto& owner = node.add_cokernel("owner", 0, {4, 5}, 256_MiB);
@@ -304,22 +304,7 @@ void write_json(const std::string& path, const std::vector<RevokeRow>& rev,
 int main(int argc, char** argv) {
   using namespace xemem;
   const bench::WallClock wall_clock;
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--engine" && i + 1 < argc) {
-      if (!bench::set_engine_mode(argv[++i])) return 2;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json PATH] "
-                   "[--engine serial|parallel[:N]]\n", argv[0]);
-      return 2;
-    }
-  }
+  const auto [quick, json_path] = bench::parse_args(argc, argv, true);
 
   bench::header(
       "Ablation: capability permissions and live revocation",

@@ -163,7 +163,7 @@ Row run_cell(Family family, u32 nclients, u64 capacity, u64 file_blocks,
 /// Returns {heartbeat messages sent, leases expired}.
 std::pair<u64, u64> run_renewal() {
   KernelConfig cfg = cache_kernel_config();
-  cfg.enable_ns_sharding({{1, 2}, {1, 2}, {1, 2}});
+  cfg.ns_shards = {{1, 2}, {1, 2}, {1, 2}};
   sim::Engine eng(808);
   Node node(hw::Machine::r420());
   node.set_kernel_config(cfg);
@@ -289,22 +289,7 @@ double cell_hit_rate(const std::vector<Row>& rows, Family f, u32 clients,
 int main(int argc, char** argv) {
   using namespace xemem;
   const bench::WallClock wall_clock;
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--engine" && i + 1 < argc) {
-      if (!bench::set_engine_mode(argv[++i])) return 2;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json PATH] "
-                   "[--engine serial|parallel[:N]]\n", argv[0]);
-      return 2;
-    }
-  }
+  const auto [quick, json_path] = bench::parse_args(argc, argv, true);
 
   bench::header(
       "Ablation: burst-buffer I/O cache (replay families x clients x "

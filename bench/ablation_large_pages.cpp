@@ -81,15 +81,7 @@ Row run_config(bool exporter_large, bool attacher_kitten, bool attacher_large,
 int main(int argc, char** argv) {
   using namespace xemem;
   const bench::WallClock wall_clock;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--engine" && i + 1 < argc &&
-        bench::set_engine_mode(argv[++i])) {
-      continue;
-    }
-    std::fprintf(stderr, "usage: %s [--engine serial|parallel[:N]]\n",
-                 argv[0]);
-    return 2;
-  }
+  bench::parse_args(argc, argv);
   const int reps = bench::runs_override(5);
   bench::header(
       "Ablation C: 2 MiB large-page mappings (extension; 1 GiB attachments)",

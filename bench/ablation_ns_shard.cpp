@@ -48,7 +48,7 @@ KernelConfig shard_config(std::vector<std::vector<u64>> groups) {
   cfg.backoff_base = 100_us;
   cfg.backoff_max = 400_us;
   if (!groups.empty()) {
-    cfg.enable_ns_sharding(std::move(groups));
+    cfg.ns_shards = std::move(groups);
     cfg.shard_probe_period = 500_us;
     cfg.shard_probe_misses = 2;
     cfg.quorum_timeout = 1_ms;
@@ -456,22 +456,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
 int main(int argc, char** argv) {
   using namespace xemem;
   const bench::WallClock wall_clock;
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--engine" && i + 1 < argc) {
-      if (!bench::set_engine_mode(argv[++i])) return 2;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json PATH] "
-                   "[--engine serial|parallel[:N]]\n", argv[0]);
-      return 2;
-    }
-  }
+  const auto [quick, json_path] = bench::parse_args(argc, argv, true);
 
   bench::header(
       "Ablation: sharded quorum-replicated name service",

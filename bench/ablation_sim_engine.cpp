@@ -139,19 +139,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
 
 int main(int argc, char** argv) {
   using namespace xemem;
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  const auto [quick, json_path] = bench::parse_args(argc, argv, true);
 
   bench::header(
       "Ablation: parallel discrete-event engine (workers x enclaves)",

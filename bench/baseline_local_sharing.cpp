@@ -88,15 +88,7 @@ Row run_size(u64 bytes) {
 int main(int argc, char** argv) {
   using namespace xemem;
   const bench::WallClock wall_clock;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--engine" && i + 1 < argc &&
-        bench::set_engine_mode(argv[++i])) {
-      continue;
-    }
-    std::fprintf(stderr, "usage: %s [--engine serial|parallel[:N]]\n",
-                 argv[0]);
-    return 2;
-  }
+  bench::parse_args(argc, argv);
   bench::header(
       "Baseline: local-node sharing mechanisms (SMARTMAP / XEMEM / KNEM)",
       "SMARTMAP setup is O(1); XEMEM setup is per-page but amortizes into "

@@ -33,39 +33,41 @@ inline void header(const char* title, const char* paper_ref) {
   std::printf("paper reference: %s\n\n", paper_ref);
 }
 
-/// Engine the bench's Engine instances default to (XEMEM_ENGINE; benches
-/// also accept --engine serial|parallel[:N] and feed it through
-/// sim::Engine::set_default).
+/// Engine the bench's Engine instances default to (XEMEM_ENGINE).
 inline const char* engine_mode() {
   return sim::Engine::default_kind() == sim::EngineKind::parallel ? "parallel"
                                                                   : "serial";
 }
 
-/// Parse a bench's --engine argument value ("serial", "parallel",
-/// "parallel:4") into the process-wide engine default. Returns false on an
-/// unknown value.
-inline bool set_engine_mode(const std::string& v) {
-  if (v == "serial") {
-    sim::Engine::set_default(sim::EngineKind::serial);
-    return true;
-  }
-  if (v.rfind("parallel", 0) == 0) {
-    u32 workers = 0;
-    const auto colon = v.find(':');
-    if (colon != std::string::npos) {
-      const int n = std::atoi(v.c_str() + colon + 1);
-      if (n <= 0) return false;
-      workers = static_cast<u32>(n);
+/// A harness's command-line options. Only the harnesses that write JSON
+/// take any; the engine is chosen by XEMEM_ENGINE alone.
+struct Args {
+  bool quick{false};      ///< --quick: the reduced sweep CI runs
+  std::string json_path;  ///< --json PATH: also write the rows as JSON
+};
+
+/// Parse a harness's argv. @p quick_json accepts --quick and --json PATH;
+/// any other argument prints a usage line and exits with status 2.
+inline Args parse_args(int argc, char** argv, bool quick_json = false) {
+  Args args;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (quick_json && arg == "--quick") {
+      args.quick = true;
+    } else if (quick_json && arg == "--json" && i + 1 < argc) {
+      args.json_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s%s\n", argv[0],
+                   quick_json ? " [--quick] [--json PATH]" : "");
+      std::exit(2);
     }
-    sim::Engine::set_default(sim::EngineKind::parallel, workers);
-    return true;
   }
-  return false;
+  return args;
 }
 
 /// Host wall-clock stopwatch for the bench footer: simulated results are
-/// deterministic per seed, but the wall-clock row is what the engine-mode
-/// flag exists to move.
+/// deterministic per seed, but the wall-clock row is what XEMEM_ENGINE
+/// exists to move.
 class WallClock {
  public:
   WallClock() : start_(std::chrono::steady_clock::now()) {}

@@ -297,22 +297,7 @@ void write_json(const std::string& path, const std::vector<OpRow>& rows,
 int main(int argc, char** argv) {
   using namespace xemem;
   const bench::WallClock wall_clock;
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--engine" && i + 1 < argc) {
-      if (!bench::set_engine_mode(argv[++i])) return 2;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json PATH] "
-                   "[--engine serial|parallel[:N]]\n", argv[0]);
-      return 2;
-    }
-  }
+  const auto [quick, json_path] = bench::parse_args(argc, argv, true);
 
   const int reps = bench::runs_override(quick ? 2 : 5);
   bench::header(

@@ -101,15 +101,7 @@ u64 count_band(const workloads::DetourTrace& t, double lo_us, double hi_us) {
 int main(int argc, char** argv) {
   using namespace xemem;
   const bench::WallClock wall_clock;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--engine" && i + 1 < argc &&
-        bench::set_engine_mode(argv[++i])) {
-      continue;
-    }
-    std::fprintf(stderr, "usage: %s [--engine serial|parallel[:N]]\n",
-                 argv[0]);
-    return 2;
-  }
+  bench::parse_args(argc, argv);
   bench::header(
       "Figure 7: Noise profile of a Kitten enclave serving XEMEM attachments",
       "dense ~12 us baseline band; sparse ~100-160 us SMIs; 2 MB service "

@@ -110,15 +110,7 @@ Cell run_point(bool multi_enclave, bool recurring, u32 nodes, int runs) {
 int main(int argc, char** argv) {
   using namespace xemem;
   const bench::WallClock wall_clock;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--engine" && i + 1 < argc &&
-        bench::set_engine_mode(argv[++i])) {
-      continue;
-    }
-    std::fprintf(stderr, "usage: %s [--engine serial|parallel[:N]]\n",
-                 argv[0]);
-    return 2;
-  }
+  bench::parse_args(argc, argv);
   const int runs = bench::runs_override(5);
   bench::header(
       "Figure 9: Multi-node in-situ benchmark, weak scaling, async workflow",

@@ -13,12 +13,27 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Wall-clock wrapper for the bench smokes: the parallel-engine work makes
-# host time a tracked output, not just noise.
+# host time a tracked output, not just noise. Returns the command's status.
 run_timed() {
   local label="$1"; shift
-  local t0=$SECONDS
-  "$@"
+  local t0=$SECONDS status=0
+  "$@" || status=$?
   echo "-- ${label}: $((SECONDS - t0))s wall"
+  return "$status"
+}
+
+# ablation_sim_engine's wall-clock gate (>= 2x at 16 enclaves / 4 workers)
+# depends on the host. A red gate is recorded here instead of stopping the
+# script, so every later step still runs; the script then exits 1 at the
+# end and names the failed gates.
+failed_gates=()
+finish() {
+  if [[ ${#failed_gates[@]} -ne 0 ]]; then
+    echo "failed gates: ${failed_gates[*]}" >&2
+    exit 1
+  fi
+  echo "all checks passed"
+  exit 0
 }
 
 fast=0
@@ -52,9 +67,9 @@ if [[ $tsan -eq 1 ]]; then
 
   echo "== tsan: parallel-engine ablation smoke =="
   run_timed "tsan sim_engine smoke" \
-    ./build-tsan/bench/ablation_sim_engine --quick
-  echo "all checks passed"
-  exit 0
+    ./build-tsan/bench/ablation_sim_engine --quick ||
+    failed_gates+=("ablation_sim_engine (tsan)")
+  finish
 fi
 
 if [[ $ubsan -eq 1 ]]; then
@@ -62,8 +77,7 @@ if [[ $ubsan -eq 1 ]]; then
   cmake --preset ubsan >/dev/null
   cmake --build --preset ubsan -j
   ctest --preset ubsan -j "$(nproc)"
-  echo "all checks passed"
-  exit 0
+  finish
 fi
 
 if [[ $asan_only -eq 0 ]]; then
@@ -100,9 +114,8 @@ if [[ $asan_only -eq 0 ]]; then
   # The attach fast-path, sharded name-service, capability and fabric-fault
   # ablations emit only simulated results, so each --quick JSON must equal
   # its committed BENCH_*.json byte for byte; any difference means simulated
-  # outputs moved. They run before ablation_sim_engine, whose wall-clock
-  # gate can stop the script. A change that means to move the model
-  # regenerates a file the same way:
+  # outputs moved. A change that means to move the model regenerates a
+  # file the same way:
   #   build/bench/ablation_$b --quick --json BENCH_$b.json
   bench_failed=0
   for b in attach_path ns_shard capability fabric_fault; do
@@ -123,7 +136,8 @@ if [[ $asan_only -eq 0 ]]; then
 
   echo "== parallel discrete-event engine ablation smoke =="
   run_timed "ablation_sim_engine" \
-    ./build/bench/ablation_sim_engine --quick --json build/sim_engine.json
+    ./build/bench/ablation_sim_engine --quick --json build/sim_engine.json ||
+    failed_gates+=("ablation_sim_engine")
   cp build/sim_engine.json BENCH_sim_engine.json
 fi
 
@@ -157,7 +171,8 @@ if [[ $fast -eq 0 ]]; then
 
   echo "== parallel discrete-event engine ablation smoke (asan) =="
   run_timed "ablation_sim_engine (asan)" \
-    ./build-asan/bench/ablation_sim_engine --quick --json build-asan/sim_engine.json
+    ./build-asan/bench/ablation_sim_engine --quick --json build-asan/sim_engine.json ||
+    failed_gates+=("ablation_sim_engine (asan)")
 fi
 
-echo "all checks passed"
+finish

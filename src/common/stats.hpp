@@ -26,10 +26,6 @@ class BoundedAccountingMap {
  public:
   explicit BoundedAccountingMap(u64 cap = 1024) : cap_(cap < 1 ? 1 : cap) {}
 
-  void set_cap(u64 cap) {
-    cap_ = cap < 1 ? 1 : cap;
-    shrink();
-  }
   u64 cap() const { return cap_; }
 
   /// Value for @p k, inserting (and possibly evicting the oldest key) if

@@ -2,7 +2,7 @@
 //
 // A single Engine instance drives one experiment. Two implementations sit
 // behind this facade (selected per instance, or process-wide through
-// XEMEM_ENGINE / set_default):
+// XEMEM_ENGINE):
 //
 //  * serial   — one thread, one clock, one queue (serial_engine.hpp);
 //  * parallel — one queue and local clock per *partition*, executed by
@@ -55,8 +55,8 @@ struct EngineDefault {
   u32 workers{0};  // 0: pick from hardware concurrency at run time
 };
 
-inline EngineDefault& engine_default() {
-  static EngineDefault d = [] {
+inline const EngineDefault& engine_default() {
+  static const EngineDefault d = [] {
     EngineDefault v;
     if (const char* env = std::getenv("XEMEM_ENGINE")) {
       const std::string s(env);
@@ -79,8 +79,8 @@ inline EngineDefault& engine_default() {
 class Engine {
  public:
   /// Default construction follows the process-wide engine selection
-  /// (XEMEM_ENGINE / set_default), so every existing harness can be moved
-  /// onto the parallel engine without a code change.
+  /// (XEMEM_ENGINE), so every existing harness can be moved onto the
+  /// parallel engine without a code change.
   explicit Engine(u64 seed = 1)
       : Engine(seed, detail::engine_default().kind,
                detail::engine_default().workers) {}
@@ -112,11 +112,8 @@ class Engine {
     return detail::g_current_engine;
   }
 
-  /// Process-wide default implementation for subsequently constructed
-  /// engines (overridden per instance by the explicit-kind constructor).
-  static void set_default(EngineKind kind, u32 workers = 0) {
-    detail::engine_default() = detail::EngineDefault{kind, workers};
-  }
+  /// Process-wide default implementation (XEMEM_ENGINE), overridden per
+  /// instance by the explicit-kind constructor.
   static EngineKind default_kind() { return detail::engine_default().kind; }
 
   EngineKind kind() const { return kind_; }

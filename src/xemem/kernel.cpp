@@ -127,31 +127,6 @@ XememKernel::XememKernel(os::Enclave& os, bool is_name_server, KernelConfig cfg)
   const KernelConfig defaults;
   if (cfg_.request_timeout == 0) cfg_.request_timeout = defaults.request_timeout;
   if (cfg_.ping_timeout == 0) cfg_.ping_timeout = defaults.ping_timeout;
-  if (cfg_.lease_duration > 0) {
-    // A heartbeat period at or beyond the lease duration would let healthy
-    // enclaves flap in and out of the registry: normalize the
-    // misconfiguration at construction instead of silently flapping.
-    if (cfg_.heartbeat_period >= cfg_.lease_duration) {
-      XLOG_WARN("xemem",
-                "%s: heartbeat_period >= lease_duration; normalizing to "
-                "lease_duration / 3",
-                os_.name().c_str());
-      cfg_.heartbeat_period = 0;
-    }
-    if (cfg_.heartbeat_period == 0) {
-      cfg_.heartbeat_period = std::max<sim::Duration>(cfg_.lease_duration / 3, 1);
-    }
-  }
-  // A forwarder entry must outlive every legitimate retry of its request.
-  if (cfg_.fwd_ttl == 0) {
-    cfg_.fwd_ttl = 2 * (cfg_.request_timeout + cfg_.backoff_max);
-  }
-  if (cfg_.dedup_cache_cap == 0) cfg_.dedup_cache_cap = 1;
-  // A dedup entry idle longer than the worst-case retry window can no
-  // longer be hit legitimately; the same bound as fwd_ttl.
-  if (cfg_.dedup_ttl == 0) {
-    cfg_.dedup_ttl = 2 * (cfg_.request_timeout + cfg_.backoff_max);
-  }
   if (!cfg_.ns_shards.empty()) {
     if (cfg_.quorum_timeout == 0) cfg_.quorum_timeout = cfg_.request_timeout;
     if (cfg_.partition_grace == 0) {
@@ -160,9 +135,7 @@ XememKernel::XememKernel(os::Enclave& os, bool is_name_server, KernelConfig cfg)
     }
     if (cfg_.shard_probe_period == 0) {
       cfg_.shard_probe_period =
-          cfg_.lease_duration > 0
-              ? std::max<sim::Duration>(cfg_.lease_duration / 3, 1)
-              : 10'000'000ull;  // 10 ms
+          cfg_.lease_duration > 0 ? heartbeat_period() : 10'000'000ull;  // 10 ms
     }
     if (cfg_.shard_probe_misses == 0) cfg_.shard_probe_misses = 1;
     for (const auto& group : cfg_.ns_shards) {
@@ -172,13 +145,6 @@ XememKernel::XememKernel(os::Enclave& os, bool is_name_server, KernelConfig cfg)
       }
     }
     shard_epoch_.assign(cfg_.ns_shards.size(), 1);
-  }
-  if (cfg_.capabilities) {
-    if (cfg_.cap_table_cap == 0) cfg_.cap_table_cap = 256;
-    if (cfg_.cap_accounting_cap == 0) cfg_.cap_accounting_cap = 1024;
-    revoked_caps_.set_cap(cfg_.cap_accounting_cap);
-    revoked_handles_.set_cap(cfg_.cap_accounting_cap);
-    cap_accounting_.set_cap(cfg_.cap_accounting_cap);
   }
 }
 
@@ -303,7 +269,7 @@ sim::Task<void> XememKernel::discovery() {
   // enclave ID through that channel. Probes are single-shot (retrying a
   // probe on a dead link would only stall the sweep; the outer loop
   // already re-probes every channel with backoff). Sweeps are bounded by
-  // discovery_max_rounds: a fully partitioned enclave (or one orphaned by
+  // kDiscoveryMaxRounds: a fully partitioned enclave (or one orphaned by
   // a name-server death) must not retry into the void forever — it
   // surfaces a terminal state instead.
   if (discovering_) co_return;
@@ -327,8 +293,7 @@ sim::Task<void> XememKernel::discovery() {
         }
       }
       if (ns_channel_ != nullptr) break;
-      if (cfg_.discovery_max_rounds != 0 &&
-          ++rounds >= cfg_.discovery_max_rounds) {
+      if (++rounds >= kDiscoveryMaxRounds) {
         ns_lost_ = true;
         // Unblock wait_registered() waiters; the id stays invalid and
         // registration_failed() reports the terminal state.
@@ -361,7 +326,7 @@ sim::Task<void> XememKernel::discovery() {
     // The name server went silent (or rejected us) mid-registration:
     // forget the direction and re-probe, still bounded by the round limit.
     ns_channel_ = nullptr;
-    if (cfg_.discovery_max_rounds != 0 && ++rounds >= cfg_.discovery_max_rounds) {
+    if (++rounds >= kDiscoveryMaxRounds) {
       ns_lost_ = true;
       registered_.set();
       XLOG_WARN("xemem", "%s: registration exhausted its probe rounds",
@@ -373,7 +338,7 @@ sim::Task<void> XememKernel::discovery() {
 }
 
 // Lease renewal: while the enclave lives, the name server hears from it at
-// least every heartbeat_period (default lease_duration / 3), so a healthy
+// least every heartbeat_period() (lease_duration / 3), so a healthy
 // enclave is never garbage-collected even when it is otherwise idle.
 sim::Task<void> XememKernel::heartbeat_actor() {
   co_await registered_.wait();
@@ -427,7 +392,7 @@ sim::Task<void> XememKernel::heartbeat_actor() {
         co_await out->send(std::move(shb));  // one-way
       }
     }
-    co_await sim::delay(cfg_.heartbeat_period);
+    co_await sim::delay(heartbeat_period());
   }
 }
 
@@ -436,7 +401,7 @@ sim::Task<void> XememKernel::heartbeat_actor() {
 // still collect its dead).
 sim::Task<void> XememKernel::lease_reaper() {
   while (!stopped_) {
-    co_await sim::delay(cfg_.heartbeat_period);
+    co_await sim::delay(heartbeat_period());
     if (stopped_) co_return;
     ns_gc_expired_leases();
   }
@@ -569,7 +534,7 @@ sim::Task<Result<Message>> XememKernel::request(Message msg, ChannelEndpoint* vi
         // not warned about.
         completed_reqs_[rid] = 1;
         completed_log_.emplace_back(rid, sim::now());
-        while (completed_log_.size() > cfg_.dedup_cache_cap) {
+        while (completed_log_.size() > kDedupCacheCap) {
           completed_reqs_.erase(completed_log_.front().first);
           completed_log_.pop_front();
           ++stats_.dedup_evictions;
@@ -662,7 +627,7 @@ sim::Task<Result<Message>> XememKernel::request_to_owner(Message msg) {
     msg.dst = EnclaveId{0};
   }
   auto resp = co_await request(std::move(msg));
-  if (cfg_.owner_route_cache && resp.ok() && resp.value().status == Errc::ok) {
+  if (cfg_.attach_fast_path && resp.ok() && resp.value().status == Errc::ok) {
     cache_owner(sid, resp.value().src);
   }
   co_return resp;
@@ -672,10 +637,10 @@ sim::Task<void> XememKernel::forward(Message msg, ChannelEndpoint* from) {
   // Requests remember their inbound channel so the response can retrace
   // the path even before routing tables know the requester. One-way
   // messages (release, heartbeat, enclave_shutdown) have no response to
-  // retrace and must not pollute the table. Entries expire after fwd_ttl
-  // (see prune_pending_fwd) so a request whose response never arrives —
-  // the owner crashed, the response was lost past every retry — cannot
-  // leak its entry forever.
+  // retrace and must not pollute the table. Entries expire after the retry
+  // window (see prune_pending_fwd) so a request whose response never
+  // arrives — the owner crashed, the response was lost past every retry —
+  // cannot leak its entry forever.
   if (!msg.is_response() && !msg.is_one_way()) {
     if (!pending_fwd_.contains(msg.req_id)) {
       fwd_log_.emplace_back(msg.req_id, sim::now());
@@ -749,8 +714,14 @@ sim::Task<void> XememKernel::handle(Message msg, ChannelEndpoint* from) {
     co_return;
   }
 
-  // 3. Name-server-addressed traffic.
-  if (msg.dst == EnclaveId{0}) {
+  // 3. Name-server-addressed traffic. Under sharding the hub holds no
+  // registry: a shard replica that resolved the hub as a segment's owner
+  // forwards the segid command here, and it is served by step 4.
+  const bool hub_owned = is_ns_ && sharding_enabled() &&
+                         (msg.cmd == Cmd::get || msg.cmd == Cmd::attach ||
+                          msg.cmd == Cmd::detach || msg.cmd == Cmd::release ||
+                          is_cap_cmd(msg.cmd));
+  if (msg.dst == EnclaveId{0} && !hub_owned) {
     if (is_ns_) {
       co_await ns_handle(std::move(msg), from);
     } else {
@@ -875,29 +846,29 @@ void XememKernel::dedup_store(u64 rid, const Message& resp) {
   }
   dedup_lru_.push_back(rid);
   dedup_.emplace(rid, DedupEntry{resp, sim::now(), std::prev(dedup_lru_.end())});
-  while (dedup_.size() > cfg_.dedup_cache_cap) {
+  while (dedup_.size() > kDedupCacheCap) {
     dedup_.erase(dedup_lru_.front());
     dedup_lru_.pop_front();
     ++stats_.dedup_evictions;
   }
 }
 
-// Expire dedup entries idle past their TTL: a retry can no longer arrive
-// for them (fwd_ttl bounds the forwarding fabric the same way), so keeping
-// them only delays capacity eviction of entries that still matter.
+// Expire dedup entries idle past the retry window: a retry can no longer
+// arrive for them (the window bounds the forwarding fabric the same way), so
+// keeping them only delays capacity eviction of entries that still matter.
 void XememKernel::prune_dedup() {
   const sim::TimePoint t = sim::now();
   while (!dedup_lru_.empty()) {
     auto it = dedup_.find(dedup_lru_.front());
     XEMEM_ASSERT(it != dedup_.end());
-    if (it->second.touched + cfg_.dedup_ttl > t) break;
+    if (it->second.touched + retry_window() > t) break;
     dedup_.erase(it);
     dedup_lru_.pop_front();
     ++stats_.dedup_evictions;
   }
   // The completed-request id log ages out on the same clock.
   while (!completed_log_.empty() &&
-         completed_log_.front().second + cfg_.dedup_ttl <= t) {
+         completed_log_.front().second + retry_window() <= t) {
     if (completed_reqs_.erase(completed_log_.front().first) != 0) {
       ++stats_.dedup_evictions;
     }
@@ -907,7 +878,7 @@ void XememKernel::prune_dedup() {
 
 void XememKernel::prune_pending_fwd() {
   const sim::TimePoint t = sim::now();
-  while (!fwd_log_.empty() && fwd_log_.front().second + cfg_.fwd_ttl <= t) {
+  while (!fwd_log_.empty() && fwd_log_.front().second + retry_window() <= t) {
     if (pending_fwd_.erase(fwd_log_.front().first) != 0) ++stats_.fwd_expired;
     fwd_log_.pop_front();
   }
@@ -1192,10 +1163,10 @@ sim::Task<Message> XememKernel::serve_attach(const Message& msg) {
       co_return resp;
     }
     frames = std::move(walked).value();
-    if (cfg_.walk_cache) {
+    if (cfg_.attach_fast_path) {
       walk_cache_.emplace(walk_key, frames);
       walk_fifo_.push_back(walk_key);
-      while (walk_fifo_.size() > cfg_.walk_cache_cap) {
+      while (walk_fifo_.size() > kWalkCacheCap) {
         walk_cache_.erase(walk_fifo_.front());
         walk_fifo_.pop_front();
       }
@@ -1465,7 +1436,7 @@ Result<Capability> XememKernel::cap_derive_local(u64 segid, u64 parent_id,
     return deny(Errc::permission_denied);
   }
 
-  if (tree.nodes.size() >= cfg_.cap_table_cap) return Errc::out_of_memory;
+  if (tree.nodes.size() >= kCapTableCap) return Errc::out_of_memory;
   const u64 cid = mint_cap_id(tree);
   // A non-transferable child with no explicit holder binds to whoever
   // derived it.
@@ -1751,7 +1722,7 @@ void XememKernel::unpin_frames(const mm::PfnList& frames) {
 
 void XememKernel::ship_frames(Message& resp, const mm::PfnList& frames) {
   resp.frames = frames;
-  if (!cfg_.extent_wire) return;
+  if (!cfg_.attach_fast_path) return;
   const u64 flat_bytes = frames.wire_bytes();
   const u64 ext_bytes = frames.extent_wire_bytes();
   // Charge the smaller encoding: a fully scattered list costs 12 B/run vs
@@ -1764,13 +1735,13 @@ void XememKernel::ship_frames(Message& resp, const mm::PfnList& frames) {
 }
 
 void XememKernel::cache_owner(Segid segid, EnclaveId owner) {
-  if (!cfg_.owner_route_cache || !owner.valid() || owner == EnclaveId{0} ||
+  if (!cfg_.attach_fast_path || !owner.valid() || owner == EnclaveId{0} ||
       owner == id()) {
     return;
   }
   if (!owner_cache_.contains(segid.value())) owner_fifo_.push_back(segid.value());
   owner_cache_[segid.value()] = owner;
-  while (owner_fifo_.size() > cfg_.owner_cache_cap) {
+  while (owner_fifo_.size() > kOwnerCacheCap) {
     owner_cache_.erase(owner_fifo_.front());
     owner_fifo_.pop_front();
   }
@@ -1778,7 +1749,7 @@ void XememKernel::cache_owner(Segid segid, EnclaveId owner) {
 
 void XememKernel::drop_owner_cache(Segid segid) {
   // The FIFO entry stays behind; evicting an already-dropped key later is
-  // a harmless no-op and the deque is bounded by owner_cache_cap anyway.
+  // a harmless no-op and the deque is bounded by kOwnerCacheCap anyway.
   owner_cache_.erase(segid.value());
 }
 
@@ -2097,7 +2068,7 @@ sim::Task<Result<XpmemAttachment>> XememKernel::xpmem_attach(os::Process& attach
   // frames the owner has already unpinned. Rights must be re-validated by
   // the owner on every attach — reuse is a capabilities-off optimization
   // (pay-for-use; see DESIGN.md §9).
-  if (cfg_.attach_reuse && !cfg_.capabilities) {
+  if (cfg_.attach_fast_path && !cfg_.capabilities) {
     for (auto& [key, entry] : attach_cache_) {
       if (key.first != grant.segid.value()) continue;
       if (entry.page_off > page_off ||
@@ -2148,7 +2119,7 @@ sim::Task<Result<XpmemAttachment>> XememKernel::xpmem_attach(os::Process& attach
     cap_maps_[{grant.segid.value(), r.offset}].push_back(
         CapMapRec{&attacher, va.value(), pages});
   }
-  if (cfg_.attach_reuse) {
+  if (cfg_.attach_fast_path) {
     attach_cache_.emplace(
         std::make_pair(grant.segid.value(), r.offset),
         ReuseEntry{page_off, pages, std::move(frames), r.src, 1, grant.cap});
@@ -2212,7 +2183,7 @@ sim::Task<Result<void>> XememKernel::xpmem_detach(os::Process& attacher,
     co_return Result<void>{};
   }
 
-  // Other local attachments may share this owner-side pin (attach_reuse):
+  // Other local attachments may share this owner-side pin (fast-path reuse):
   // only the last one releases it remotely.
   const auto reuse_key = std::make_pair(att.segid.value(), att.owner_handle);
   auto cached = attach_cache_.find(reuse_key);
@@ -3030,7 +3001,7 @@ sim::Task<void> XememKernel::shard_lease_reaper(u32 shard) {
   if (it == shard_replicas_.end()) co_return;
   ShardReplica* rep = it->second.get();
   for (;;) {
-    co_await sim::delay(cfg_.heartbeat_period);
+    co_await sim::delay(heartbeat_period());
     if (stopped_ || crashed_) co_return;
     // Expiry is a replicated decision: only a fresh primary may GC, and it
     // does so through the log so every replica collects the same enclave

@@ -15,6 +15,7 @@
 //    personality, frame pinning, PFN-list responses (section 4.2).
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <list>
 #include <map>
@@ -35,10 +36,12 @@
 
 namespace xemem {
 
-/// Tunable protocol policy. The defaults reproduce the historical
-/// behavior (10 s request timeout, 5 ms discovery probes, a couple of
-/// retries, no leases); tests and benches tighten them instead of
-/// simulating multi-second waits.
+/// Tunable protocol policy: what some caller actually sets. The defaults
+/// reproduce the historical behavior (10 s request timeout, 5 ms discovery
+/// probes, a couple of retries, no leases); tests and benches tighten them
+/// instead of simulating multi-second waits. Cache and table bounds are
+/// fixed constants of XememKernel, and the heartbeat cadence and the retry
+/// window are derived from the fields below.
 struct KernelConfig {
   /// Request/response timeout before a retry (0 is normalized to this
   /// default at construction).
@@ -53,57 +56,9 @@ struct KernelConfig {
   sim::Duration backoff_base{1'000'000ull};  // 1 ms, doubles per retry
   sim::Duration backoff_max{1'000'000'000ull};  // 1 s cap
   /// Lease an enclave holds on its name-server registration, renewed by
-  /// heartbeats every heartbeat_period (0 = lease/heartbeat machinery
+  /// heartbeats every lease_duration / 3 (0 = lease/heartbeat machinery
   /// disabled; crash recovery then relies solely on request timeouts).
   sim::Duration lease_duration{0};
-  /// Heartbeat cadence; 0 defaults to lease_duration / 3.
-  sim::Duration heartbeat_period{0};
-  /// How long a forwarder remembers a routed request awaiting its
-  /// response; 0 defaults to 2 * (request_timeout + backoff_max) so an
-  /// entry outlives every legitimate retry of its request.
-  sim::Duration fwd_ttl{0};
-  /// Responses remembered for duplicate suppression (LRU eviction).
-  u64 dedup_cache_cap{1024};
-  /// Idle TTL on dedup-cache entries: an entry untouched for this long can
-  /// no longer be hit by a legitimate retry and is evicted (0 defaults to
-  /// 2 * (request_timeout + backoff_max), the same bound as fwd_ttl).
-  /// Every capacity or TTL eviction bumps Stats::dedup_evictions.
-  sim::Duration dedup_ttl{0};
-
-  // ----- Attach fast path (all opt-in, like the lease machinery: the
-  // defaults reproduce the historical cold-path behavior so the paper
-  // harnesses keep measuring what the paper measured; tests, the
-  // attach-path ablation, and throughput-hungry deployments turn the
-  // layers on — see bench/ablation_attach_path and DESIGN.md §8).
-
-  /// Charge attach responses' frames at the extent encoding (12 B/run)
-  /// whenever that is smaller than 8 B/page flat PFNs. Only the wire size
-  /// changes: the frames are held as runs either way.
-  bool extent_wire{false};
-  /// Remember segid -> owner-enclave from successful responses so repeat
-  /// xpmem_get/attach/detach to a known segid address the owner directly,
-  /// skipping the name-server lookup hop.
-  bool owner_route_cache{false};
-  /// Memoize owner-side (segid, page_off, pages) -> PfnList page-table
-  /// walks so concurrent/repeat attachers of one window share one walk.
-  bool walk_cache{false};
-  /// Reuse already-fetched frames when re-attaching a window contained in
-  /// a live attachment of the same segment (no protocol traffic at all).
-  bool attach_reuse{false};
-  /// Entry caps for the two unbounded-growth caches (FIFO eviction).
-  u64 walk_cache_cap{64};
-  u64 owner_cache_cap{1024};
-
-  /// Convenience: turn on every attach fast-path layer.
-  KernelConfig& enable_attach_fast_path() {
-    extent_wire = owner_route_cache = walk_cache = attach_reuse = true;
-    return *this;
-  }
-
-  /// Discovery gives up after this many full probe sweeps with no path to
-  /// a name server and surfaces Errc::no_name_server to callers (0 =
-  /// probe forever, the historical behavior; DESIGN.md §6b).
-  u32 discovery_max_rounds{512};
 
   // ----- Sharded, quorum-replicated name service (opt-in; DESIGN.md §6c).
   // The only way the registry outlives the enclave serving it.
@@ -128,33 +83,23 @@ struct KernelConfig {
   /// (0 -> max(lease_duration, 2 * request_timeout)).
   sim::Duration partition_grace{0};
 
-  /// Convenience: shard the registry across @p groups replica groups.
-  KernelConfig& enable_ns_sharding(std::vector<std::vector<u64>> groups) {
-    ns_shards = std::move(groups);
-    return *this;
-  }
+  /// Attach fast path (opt-in, like the lease machinery: the default
+  /// reproduces the cold path the paper measured; DESIGN.md §8). Turns on
+  /// four layers together: attach responses charge their frames at the
+  /// extent encoding (12 B/run) when that is smaller than 8 B/page; a
+  /// segid -> owner cache lets repeat get/attach/detach skip the
+  /// name-server hop; owners memoize (segid, window) page-table walks;
+  /// and a window contained in a live attachment of the same segment is
+  /// re-mapped from the frames already held, with no protocol traffic.
+  bool attach_fast_path{false};
 
-  // ----- Capability model (opt-in; DESIGN.md §9). When off, the classic
-  // permit path is untouched: no cap state, no extra wire fields consulted,
-  // no per-segment accounting — pay-for-use like every other layer.
-
-  /// Treat segids as capabilities: xpmem_make mints an owner capability,
-  /// cap_derive mints restricted children, get/attach validate the
-  /// presented capability owner-side, and cap_revoke unmaps every live
-  /// attachment under the revoked subtree.
+  /// Capability model (opt-in; DESIGN.md §9). Segids act as capabilities:
+  /// xpmem_make mints an owner capability, cap_derive mints restricted
+  /// children, get/attach validate the presented capability owner-side,
+  /// and cap_revoke unmaps every live attachment under the revoked
+  /// subtree. When off, the classic permit path is untouched: no cap
+  /// state, no extra wire fields consulted, no per-segment accounting.
   bool capabilities{false};
-  /// Max derivation-tree nodes per segment (derive past this fails with
-  /// Errc::out_of_memory).
-  u64 cap_table_cap{256};
-  /// Entry cap on the bounded accounting maps (per-segment accounting,
-  /// revoked-cap/handle tombstones). FIFO eviction past this.
-  u64 cap_accounting_cap{1024};
-
-  /// Convenience: turn on the capability model.
-  KernelConfig& enable_capabilities() {
-    capabilities = true;
-    return *this;
-  }
 };
 
 class XememKernel {
@@ -298,8 +243,8 @@ class XememKernel {
   u64 known_routes() const { return enclave_map_.size(); }
   bool knows_route(EnclaveId e) const { return enclave_map_.contains(e.value()); }
   u64 exports_live() const { return exports_.size(); }
-  /// Forwarded requests still awaiting a response to retrace (bounded by
-  /// KernelConfig::fwd_ttl; see the orphan-response expiry logic).
+  /// Forwarded requests still awaiting a response to retrace (each entry
+  /// expires after retry_window(); see the orphan-response expiry logic).
   u64 pending_forwards() const { return pending_fwd_.size(); }
   /// Name-server registry sizes (0 on non-name-server kernels).
   u64 ns_segid_count() const { return ns_segids_.size(); }
@@ -336,9 +281,9 @@ class XememKernel {
 
   // -------------------------------------- capability diagnostics (§9)
 
-  /// Per-segment accounting surfaced in bounded memory (see
-  /// KernelConfig::cap_accounting_cap): counters survive node eviction
-  /// only as the aggregate Stats.
+  /// Per-segment accounting surfaced in bounded memory (kCapAccountingCap
+  /// segments): counters survive slot eviction only as the aggregate
+  /// Stats.
   struct SegAccounting {
     u64 live_attaches{0};  ///< attachments currently served by the owner
     u64 derived_caps{0};   ///< children minted under the segment's tree
@@ -377,7 +322,7 @@ class XememKernel {
     auto it = shard_replicas_.find(s);
     return it != shard_replicas_.end() ? it->second->log.size() : 0;
   }
-  /// Dedup-cache occupancy (bounded by dedup_cache_cap and dedup_ttl).
+  /// Dedup-cache occupancy (bounded by kDedupCacheCap and retry_window()).
   u64 dedup_entries() const { return dedup_.size(); }
 
   const KernelConfig& config() const { return cfg_; }
@@ -422,6 +367,26 @@ class XememKernel {
   const Stats& stats() const { return stats_; }
 
  private:
+  // Fixed bounds (FIFO or LRU eviction past each).
+  static constexpr u64 kWalkCacheCap = 64;      ///< memoized owner-side walks
+  static constexpr u64 kOwnerCacheCap = 1024;   ///< segid -> owner entries
+  static constexpr u64 kDedupCacheCap = 1024;   ///< remembered responses
+  static constexpr u64 kCapTableCap = 256;      ///< derivation nodes per segment
+  static constexpr u64 kCapAccountingCap = 1024;  ///< accounting/tombstone slots
+  /// Discovery gives up after this many full probe sweeps with no path to
+  /// a name server and surfaces Errc::no_name_server (DESIGN.md §6b).
+  static constexpr u32 kDiscoveryMaxRounds = 512;
+
+  /// Lease renewal cadence: three heartbeats per lease.
+  sim::Duration heartbeat_period() const {
+    return std::max<sim::Duration>(cfg_.lease_duration / 3, 1);
+  }
+  /// How long a request can still be retried: a forwarder's pending entry
+  /// and a served response in the dedup cache are kept this long.
+  sim::Duration retry_window() const {
+    return 2 * (cfg_.request_timeout + cfg_.backoff_max);
+  }
+
   struct ExportRecord {
     os::Process* proc;
     Vaddr va;
@@ -667,9 +632,9 @@ class XememKernel {
   void pin_frames(const mm::PfnList& frames);
   void unpin_frames(const mm::PfnList& frames);
 
-  // Puts @p frames on an attach response. With extent_wire, the wire
-  // charges the runs instead of 8 B/page whenever that is smaller, and the
-  // savings are accounted.
+  // Puts @p frames on an attach response. With the attach fast path, the
+  // wire charges the runs instead of 8 B/page whenever that is smaller, and
+  // the savings are accounted.
   void ship_frames(Message& resp, const mm::PfnList& frames);
   void cache_owner(Segid segid, EnclaveId owner);
   void drop_owner_cache(Segid segid);
@@ -752,15 +717,16 @@ class XememKernel {
   std::map<std::pair<u64, u64>, std::vector<CapMapRec>> cap_maps_;
   // Bounded tombstones: caps/handles known revoked, so later get/attach
   // fail fast locally and detach of a dead handle stays silent.
-  BoundedAccountingMap<u64, u8> revoked_caps_;
+  BoundedAccountingMap<u64, u8> revoked_caps_{kCapAccountingCap};
   struct PairHash {
     size_t operator()(const std::pair<u64, u64>& p) const {
       return std::hash<u64>()(p.first * 0x9e3779b97f4a7c15ull ^ p.second);
     }
   };
-  BoundedAccountingMap<std::pair<u64, u64>, u8, PairHash> revoked_handles_;
+  BoundedAccountingMap<std::pair<u64, u64>, u8, PairHash> revoked_handles_{
+      kCapAccountingCap};
   // Per-segment accounting (bounded).
-  BoundedAccountingMap<u64, SegAccounting> cap_accounting_;
+  BoundedAccountingMap<u64, SegAccounting> cap_accounting_{kCapAccountingCap};
   u64 crash_after_cap_requests_{0};
   u64 cap_requests_seen_{0};
 

@@ -29,7 +29,7 @@ KernelConfig fast_config() {
   cfg.max_retries = 6;
   cfg.backoff_base = 100_us;
   cfg.backoff_max = 1_ms;
-  cfg.enable_attach_fast_path();
+  cfg.attach_fast_path = true;
   return cfg;
 }
 
@@ -478,7 +478,7 @@ TEST(AttachPath, WarmCachesNeverBypassCapabilityChecks) {
   sim::Engine eng(8107);
   Node node(hw::Machine::r420());
   KernelConfig cfg = fast_config();
-  cfg.enable_capabilities();
+  cfg.capabilities = true;
   node.set_kernel_config(cfg);
   node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
   auto& owner_k = node.add_cokernel("owner", 0, {4, 5}, 256_MiB);

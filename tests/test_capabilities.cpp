@@ -28,7 +28,7 @@ KernelConfig cap_config() {
   cfg.backoff_base = 100_us;
   cfg.backoff_max = 400_us;
   cfg.lease_duration = 5_ms;
-  cfg.enable_capabilities();
+  cfg.capabilities = true;
   return cfg;
 }
 
@@ -45,7 +45,7 @@ struct Fixture {
 };
 
 TEST(Capabilities, DisabledByDefaultClassicPathUnchanged) {
-  // Without enable_capabilities() no tree is minted, grants carry cap 0,
+  // With capabilities off no tree is minted, grants carry cap 0,
   // and the capability API rejects cleanly — pay-for-use.
   sim::Engine eng(70);
   Node node(hw::Machine::r420());
@@ -438,36 +438,39 @@ TEST(Capabilities, RevocationRacingInflightAttachesConverges) {
 }
 
 TEST(Capabilities, DerivationTableAndAccountingAreBounded) {
-  KernelConfig cfg = cap_config();
-  cfg.cap_table_cap = 8;
-  cfg.cap_accounting_cap = 2;
-  Fixture f(74, cfg);
+  Fixture f(74);
   auto main = [&]() -> sim::Task<void> {
     co_await f.node.start();
     auto& owner = f.node.kernel("owner");
     os::Process* op = f.node.enclave("owner").create_process(8_MiB).value();
 
-    // The per-segment derivation tree refuses growth past cap_table_cap.
+    // The per-segment derivation tree refuses growth past 256 nodes.
     auto sid = co_await owner.xpmem_make(*op, op->image_base(), 1_MiB);
     CO_ASSERT_TRUE(sid.ok());
     auto root = owner.cap_root(sid.value());
     CO_ASSERT_TRUE(root.ok());
     Result<Capability> last{Errc::unreachable};
     u64 minted = 0;
-    for (u64 i = 0; i < 32; ++i) {
+    for (u64 i = 0; i < 300; ++i) {
       last = co_await owner.cap_derive(root.value(), CapRights{});
       if (!last.ok()) break;
       ++minted;
     }
     EXPECT_EQ(last.error(), Errc::out_of_memory);
-    EXPECT_EQ(minted, cfg.cap_table_cap - 1);  // root occupies one slot
-    EXPECT_EQ(owner.cap_count(sid.value()), cfg.cap_table_cap);
+    EXPECT_EQ(minted, 255u);  // root occupies one slot
+    EXPECT_EQ(owner.cap_count(sid.value()), 256u);
+    EXPECT_EQ(owner.cap_accounting(sid.value()).derived_caps, 255u);
 
-    // Accounting memory is bounded: with cap 2, the oldest segment's
-    // counters are evicted (read back as zeros) once newer ones arrive.
-    auto s2 = co_await owner.xpmem_make(*op, op->image_base() + 1_MiB, 1_MiB);
-    auto s3 = co_await owner.xpmem_make(*op, op->image_base() + 2_MiB, 1_MiB);
-    CO_ASSERT_TRUE(s2.ok() && s3.ok());
+    // Accounting memory is bounded at 1024 segments: the oldest segment's
+    // counters survive 1023 newer segments and are evicted (read back as
+    // zeros) by the 1024th.
+    for (int i = 0; i < 1024; ++i) {
+      if (i == 1023) {
+        EXPECT_EQ(owner.cap_accounting(sid.value()).derived_caps, 255u);
+      }
+      auto s = co_await owner.xpmem_make(*op, op->image_base() + 1_MiB, 4_KiB);
+      CO_ASSERT_TRUE(s.ok());
+    }
     EXPECT_EQ(owner.cap_accounting(sid.value()).derived_caps, 0u)
         << "oldest segment's accounting must have been evicted";
   };

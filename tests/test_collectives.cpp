@@ -417,7 +417,7 @@ KernelConfig coll_cap_config() {
   cfg.max_retries = 3;
   cfg.backoff_base = 100_us;
   cfg.backoff_max = 400_us;
-  cfg.enable_capabilities();
+  cfg.capabilities = true;
   return cfg;
 }
 

@@ -105,7 +105,7 @@ Digest run_fault_workload(EngineKind kind) {
 Digest run_ns_shard_workload(EngineKind kind) {
   KernelConfig cfg = tight_config();
   cfg.lease_duration = 5_ms;
-  cfg.enable_ns_sharding({{1, 2}, {1, 2}, {1, 2}});
+  cfg.ns_shards = {{1, 2}, {1, 2}, {1, 2}};
   sim::Engine eng(808, kind, 1);
   Node node(hw::Machine::r420());
   node.set_kernel_config(cfg);

@@ -177,7 +177,8 @@ TEST(Fault, DuplicateAttachDeliveryPinsFramesOnce) {
     EXPECT_EQ(r1.offset, r2.offset) << "cached response echoes the same handle";
     EXPECT_EQ(r1.frames, r2.frames);
     EXPECT_EQ(r1.frames.page_count(), 256u);
-    // Without extent_wire the wire charges the frames flat, 8 B per page.
+    // Without the attach fast path the wire charges the frames flat, 8 B
+    // per page.
     EXPECT_TRUE(r1.frames_flat);
     EXPECT_EQ(r1.wire_bytes(), Message::kHeaderBytes + 256 * 8);
 
@@ -213,7 +214,6 @@ TEST(Fault, PendingForwardEntriesExpire) {
   sim::Engine eng(7004);
   Node node(hw::Machine::r420());
   KernelConfig cfg = tight_config();
-  cfg.fwd_ttl = 10_ms;
   node.set_kernel_config(cfg);
   auto& mgmt = node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
   auto& owner_k = node.add_cokernel("owner", 0, {4, 5}, 256_MiB);
@@ -231,10 +231,11 @@ TEST(Fault, PendingForwardEntriesExpire) {
     auto grant = co_await user_k.xpmem_get(sid.value());
     EXPECT_EQ(grant.error(), Errc::unreachable);
     EXPECT_GT(mgmt.pending_forwards(), 0u)
-        << "the forwarder holds the un-responded entry until TTL";
+        << "the forwarder holds the un-responded entry for the retry window";
 
-    // Past the TTL, the next message the forwarder handles sweeps it.
-    co_await sim::delay(cfg.fwd_ttl + 1_ms);
+    // Past the window, 2 * (request_timeout + backoff_max) = 4 ms here, the
+    // next message the forwarder handles sweeps it.
+    co_await sim::delay(2 * (cfg.request_timeout + cfg.backoff_max) + 1_ms);
     (void)co_await user_k.xpmem_search("nothing");
     EXPECT_EQ(mgmt.pending_forwards(), 0u);
     EXPECT_GE(mgmt.stats().fwd_expired, 1u);
@@ -310,27 +311,24 @@ TEST(Fault, InjectionScheduleIsDeterministicPerSeed) {
   EXPECT_NE(a, c) << "different injector seeds perturb the run";
 }
 
-TEST(Fault, LeaseMisconfigNormalizedAtConstruction) {
-  // A heartbeat period at or beyond the lease duration would let healthy
-  // enclaves flap in and out of the registry. The kernel normalizes the
-  // misconfiguration at construction: heartbeat_period falls back to
-  // lease_duration / 3.
+TEST(Fault, HeartbeatsEveryThirdOfLeaseKeepEnclaveAlive) {
+  // Lease renewal runs at a fixed cadence derived from the lease: one
+  // heartbeat per lease_duration / 3, so a healthy enclave is never
+  // garbage-collected even when it is otherwise idle.
   sim::Engine eng(7008);
   Node node(hw::Machine::r420());
   KernelConfig cfg = tight_config();
   cfg.lease_duration = 3_ms;
-  cfg.heartbeat_period = 10_ms;  // >= lease: would guarantee expiry
   node.set_kernel_config(cfg);
   auto& mgmt = node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
   auto& ck = node.add_cokernel("ck", 0, {6, 7}, 256_MiB);
-  EXPECT_EQ(mgmt.config().heartbeat_period, 1_ms);
-  EXPECT_EQ(ck.config().heartbeat_period, 1_ms);
-  EXPECT_EQ(mgmt.config().lease_duration, 3_ms);
 
-  // And the normalized config actually keeps a healthy enclave alive.
   auto main = [&]() -> sim::Task<void> {
     co_await node.start();
+    const u64 beats = ck.stats().heartbeats_sent;
     co_await sim::delay(4 * cfg.lease_duration);
+    EXPECT_EQ(ck.stats().heartbeats_sent - beats, 12u)
+        << "one heartbeat per lease_duration / 3 = 1 ms";
     os::Process* p = node.enclave("ck").create_process(1_MiB).value();
     auto sid = co_await ck.xpmem_make(*p, p->image_base(), 4_KiB);
     CO_ASSERT_TRUE(sid.ok());
@@ -415,7 +413,6 @@ KernelConfig ns_death_config() {
   cfg.backoff_base = 100_us;
   cfg.backoff_max = 400_us;
   cfg.lease_duration = 5_ms;
-  cfg.discovery_max_rounds = 16;
   return cfg;
 }
 
@@ -566,7 +563,6 @@ TEST(Fault, StandbylessCrashIsDefinedFailureMode) {
   cfg.max_retries = 2;
   cfg.backoff_base = 100_us;
   cfg.backoff_max = 400_us;
-  cfg.discovery_max_rounds = 4;
   node.set_kernel_config(cfg);
   auto& mgmt = node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
   auto& ck = node.add_cokernel("ck", 0, {6, 7}, 256_MiB);
@@ -576,10 +572,12 @@ TEST(Fault, StandbylessCrashIsDefinedFailureMode) {
     mgmt.crash();
     EXPECT_TRUE(mgmt.is_crashed());
 
-    // Interim attempts may see plain unreachable while retries burn down;
-    // the terminal state must be reached, bounded, with no hang.
+    // Interim attempts may see plain unreachable while retries burn down
+    // and discovery sweeps its 512 rounds of (200 us probe + 200 us
+    // backoff), about 205 ms; the terminal state must be reached, bounded,
+    // with no hang.
     Errc last = Errc::ok;
-    for (int i = 0; i < 50; ++i) {
+    for (int i = 0; i < 400; ++i) {
       auto s = co_await ck.xpmem_search("anything");
       CO_ASSERT_TRUE(!s.ok());
       last = s.error();
@@ -598,8 +596,8 @@ TEST(Fault, StandbylessCrashIsDefinedFailureMode) {
 
 TEST(Fault, FullyPartitionedEnclaveSurfacesTerminalStatus) {
   // An enclave whose every channel is dead must not retry discovery into
-  // the void forever — registration gives up after discovery_max_rounds
-  // and surfaces a terminal status.
+  // the void forever — registration gives up after 512 probe rounds and
+  // surfaces a terminal status.
   sim::Engine eng(9004);
   Node node(hw::Machine::r420());
   KernelConfig cfg;
@@ -608,7 +606,6 @@ TEST(Fault, FullyPartitionedEnclaveSurfacesTerminalStatus) {
   cfg.max_retries = 1;
   cfg.backoff_base = 100_us;
   cfg.backoff_max = 400_us;
-  cfg.discovery_max_rounds = 4;
   node.set_kernel_config(cfg);
   node.enable_fault_injection(FaultSpec{}, /*seed=*/601);  // transparent wrap
   node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
@@ -622,7 +619,8 @@ TEST(Fault, FullyPartitionedEnclaveSurfacesTerminalStatus) {
     EXPECT_TRUE(ck.ns_lost());
     EXPECT_TRUE(ck.registration_failed());
     EXPECT_FALSE(ck.id().valid());
-    // Bounded: max_rounds sweeps of (probe timeout + backoff), not forever.
+    // Bounded: 512 sweeps of (probe timeout + backoff), about 205 ms, not
+    // forever.
     EXPECT_LT(sim::now() - t0, u64(1'000) * 1_ms);
 
     os::Process* p = node.enclave("ck").create_process(1_MiB).value();

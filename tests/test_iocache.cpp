@@ -37,7 +37,7 @@ KernelConfig io_kernel_config(bool caps) {
   cfg.backoff_base = 100_us;
   cfg.backoff_max = 400_us;
   cfg.lease_duration = 5_ms;  // NS GC window for the crash/recovery tests
-  if (caps) cfg.enable_capabilities();
+  cfg.capabilities = caps;
   return cfg;
 }
 
@@ -583,7 +583,7 @@ TEST(IoCache, BatchedHeartbeatsCutRenewalMessages) {
   cfg.backoff_base = 100_us;
   cfg.backoff_max = 400_us;
   cfg.lease_duration = 5_ms;
-  cfg.enable_ns_sharding({{1, 2}, {1, 2}, {1, 2}});
+  cfg.ns_shards = {{1, 2}, {1, 2}, {1, 2}};
   sim::Engine eng(909);
   Node node(hw::Machine::r420());
   node.set_kernel_config(cfg);

@@ -33,7 +33,7 @@ KernelConfig shard_config(std::vector<std::vector<u64>> groups) {
   cfg.max_retries = 2;
   cfg.backoff_base = 100_us;
   cfg.backoff_max = 400_us;
-  cfg.enable_ns_sharding(std::move(groups));
+  cfg.ns_shards = std::move(groups);
   cfg.shard_probe_period = 500_us;
   cfg.shard_probe_misses = 2;
   cfg.quorum_timeout = 1_ms;
@@ -736,14 +736,14 @@ TEST(NsShard, CrashpointSweepConvergesForPrimariesAndFollowers) {
 }
 
 TEST(NsShard, DedupCacheIsBoundedByCapAndTtl) {
-  // The req-id dedup cache is no longer an unbounded map: capacity
-  // evictions recycle the LRU entry and idle entries age out on the TTL,
-  // both counted in dedup_evictions.
+  // The req-id dedup cache is no longer an unbounded map: it holds at most
+  // 1024 responses, evicting the LRU entry, and an entry idle for the retry
+  // window, 2 * (request_timeout + backoff_max), ages out. Both evictions
+  // count in dedup_evictions.
   sim::Engine eng(7005);
   Node node(hw::Machine::r420());
   auto cfg = shard_config({{1}});
-  cfg.dedup_cache_cap = 4;
-  cfg.dedup_ttl = 2_ms;
+  cfg.request_timeout = 1_s;  // the window outlasts every make below
   node.set_kernel_config(cfg);
   node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
   node.add_cokernel("cka", 0, {4, 5}, 256_MiB);
@@ -759,20 +759,23 @@ TEST(NsShard, DedupCacheIsBoundedByCapAndTtl) {
         name_of_id(node, {"cka", "cli"}, client->id().value());
     os::Process* op = node.enclave(cname).create_process(8_MiB).value();
 
+    const sim::TimePoint t0 = sim::now();
     std::vector<Segid> minted;
-    for (int i = 0; i < 10; ++i) {
+    for (int i = 0; i < 1030; ++i) {
       auto s = co_await client->xpmem_make(*op, op->image_base(), 4_KiB);
       CO_ASSERT_TRUE(s.ok());
       minted.push_back(s.value());
     }
-    EXPECT_LE(host->dedup_entries(), 4u) << "capacity bound holds";
-    EXPECT_GT(host->stats().dedup_evictions, 0u);
+    const sim::Duration window = 2 * (cfg.request_timeout + cfg.backoff_max);
+    CO_ASSERT_TRUE(sim::now() - t0 < window);
+    EXPECT_EQ(host->dedup_entries(), 1024u) << "capacity bound holds";
+    EXPECT_GE(host->stats().dedup_evictions, 6u);
 
-    // Idle entries age out: after a TTL of silence the next command finds
-    // only expired entries and prunes them.
-    co_await sim::delay(5_ms);
+    // Idle entries age out: after a window of silence the next command
+    // finds only expired entries and prunes them.
+    co_await sim::delay(window);
     CO_ASSERT_TRUE((co_await client->xpmem_remove(*op, minted[0])).ok());
-    EXPECT_LE(host->dedup_entries(), 1u) << "TTL expired the idle entries";
+    EXPECT_LE(host->dedup_entries(), 1u) << "the window expired the idle entries";
   };
   eng.run(main());
 }

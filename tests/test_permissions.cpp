@@ -149,7 +149,7 @@ TEST(Permissions, VmGuestCannotEscalateMaxAccessOrCapabilityRights) {
   sim::Engine eng(27);
   Node node(hw::Machine::r420());
   KernelConfig cfg;
-  cfg.enable_capabilities();
+  cfg.capabilities = true;
   node.set_kernel_config(cfg);
   node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
   node.add_cokernel("kitten0", 0, {6, 7}, 1_GiB);
