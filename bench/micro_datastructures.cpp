@@ -2,7 +2,8 @@
 // structural work drives the simulator's cost model:
 //
 //  * red-black tree insert/find/erase (the Palacios memory map) vs the
-//    radix alternative — the host-CPU analogue of the section 5.4 effect;
+//    radix alternative — the host-CPU analogue of the section 5.4 effect —
+//    and a whole guest attach/detach window through PalaciosVm;
 //  * 4-level page-table map/translate (every attachment's exporter walk
 //    and attacher map);
 //  * frame-zone allocation policies;
@@ -14,8 +15,10 @@
 #include "common/rng.hpp"
 #include "hw/phys_mem.hpp"
 #include "mm/page_table.hpp"
+#include "mm/pfn_list.hpp"
 #include "palacios/memory_map.hpp"
 #include "palacios/rbtree.hpp"
+#include "palacios/vm.hpp"
 #include "workloads/hpccg.hpp"
 #include "workloads/stream.hpp"
 
@@ -63,6 +66,35 @@ void BM_RbTreeFind(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RbTreeFind)->Range(1 << 10, 1 << 18);
+
+// One hot-plug window (Figure 4(a)): map_host_frames puts one memory-map
+// entry per page next to the guest's 1 GiB RAM region, and
+// unmap_host_frames takes them out again. Reported per page.
+void BM_MemoryMapWindow(benchmark::State& state) {
+  const u64 pages = static_cast<u64>(state.range(0));
+  const auto backend =
+      state.range(1) == 0 ? palacios::MapBackend::rbtree : palacios::MapBackend::radix;
+  hw::PhysicalMemory pm;
+  pm.add_zone(4ull << 30);
+  palacios::PalaciosVm vm({"vm", 1ull << 30, 1ull << 30, backend}, pm.zone(0));
+  if (!vm.init().ok()) {
+    state.SkipWithError("guest RAM does not fit");
+    return;
+  }
+  const auto frames = pm.zone(0).alloc(pages, hw::AllocPolicy::scattered).value();
+  const mm::PfnList host(frames);
+  for (auto _ : state) {
+    palacios::MapWork work;
+    auto window = vm.map_host_frames(host, &work);
+    benchmark::DoNotOptimize(work.steps);
+    benchmark::DoNotOptimize(vm.unmap_host_frames(window.value()).ok());
+  }
+  for (auto e : frames) pm.zone(0).free(e);
+  state.SetLabel(backend == palacios::MapBackend::rbtree ? "rbtree" : "radix");
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(pages));
+}
+BENCHMARK(BM_MemoryMapWindow)->ArgsProduct({{1 << 14, 1 << 17}, {0, 1}});
 
 void BM_PageTableMapRange(benchmark::State& state) {
   const u64 pages = static_cast<u64>(state.range(0));

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full local gate: tier-1 build + tests, a golden diff of the paper
-# harnesses' simulated outputs and of the simulated-only ablation JSONs
-# against their committed BENCH_*.json, then the same suite under
-# AddressSanitizer/UBSan (catches lifetime bugs the coroutine-heavy
-# simulator is prone to), plus optional standalone UBSan and TSan legs.
+# harnesses' and the page-structure ablations' simulated outputs and of
+# the simulated-only ablation JSONs against their committed BENCH_*.json,
+# then the same suite under AddressSanitizer/UBSan (catches lifetime bugs
+# the coroutine-heavy simulator is prone to), plus optional standalone
+# UBSan and TSan legs.
 # The TSan leg runs the suite twice: once with the default serial engine
 # and once with XEMEM_ENGINE=parallel, so the parallel engine's worker
 # threads and cross-partition channel delivery (DESIGN.md §12) are
@@ -91,12 +92,16 @@ if [[ $asan_only -eq 0 ]]; then
   # paper harness runs once per config (XEMEM_BENCH_RUNS=1) and its stdout,
   # minus the host wall-clock footer, must equal the recorded golden. With
   # one run the error-bar shape checks of fig8/fig9 print [FAIL] and exit 1;
-  # the goldens record that too, so exit codes are not checked here. A change
-  # that means to move the model regenerates the goldens the same way:
+  # the goldens record that too, so exit codes are not checked here. The two
+  # page-structure ablations ride along: ablation_memory_map prints GB/s
+  # computed from the rbtree and radix map work of a 1 GiB guest attach, so
+  # any drift in the memory map's counts shows here. A change that means to
+  # move the model regenerates the goldens the same way:
   #   XEMEM_BENCH_RUNS=1 build/bench/$h | sed '/host wall clock/d' > bench/golden/$h.txt
   golden_failed=0
   for h in fig5_attach_vs_rdma fig6_enclave_scaling fig7_noise_profile \
-           fig8_single_node_insitu fig9_multi_node_insitu table2_vm_throughput; do
+           fig8_single_node_insitu fig9_multi_node_insitu table2_vm_throughput \
+           ablation_memory_map ablation_large_pages; do
     { XEMEM_BENCH_RUNS=1 ./build/bench/"$h" || true; } | sed '/host wall clock/d' \
       > build/golden_"$h".txt
     diff -u bench/golden/"$h".txt build/golden_"$h".txt || golden_failed=1

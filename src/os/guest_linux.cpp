@@ -56,9 +56,10 @@ sim::Task<Result<Vaddr>> GuestLinuxEnclave::map_attachment(
   (void)lazy;  // remote frames reach a guest only through the VMM: eager
   // Host side (Figure 4(a) steps 1-2): allocate new guest pages and map
   // them to the host frames — one memory-map entry per page.
-  auto mapped = vm_.map_host_frames(host_frames);
+  palacios::MapWork work;
+  auto mapped = vm_.map_host_frames(host_frames, &work);
   if (!mapped.ok()) co_return mapped.error();
-  const auto [window, work] = mapped.value();
+  const hw::FrameExtent window = mapped.value();
   const u64 map_ns = vm_.map_work_cost(work);
   vmm_map_ns_ += map_ns;
   co_await host_core_->run_irq(map_ns);

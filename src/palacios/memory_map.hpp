@@ -46,7 +46,18 @@ struct MapWork {
 };
 
 class GuestMemoryMap {
+  struct Region {
+    HostPaddr hpa;
+    u64 bytes;
+  };
+
  public:
+  /// Lets a run of insert_region() calls at ascending GPAs (rbtree backend)
+  /// start each insert from the entry the previous one added instead of
+  /// from the root. Results and charges are those of calls without one; an
+  /// update of the map made without it costs the next insert a full descent.
+  using InsertCursor = RbTree<u64, Region>::Finger;
+
   explicit GuestMemoryMap(MapBackend backend) : backend_(backend) {
     if (backend == MapBackend::radix) radix_root_ = std::make_unique<RadixNode>();
   }
@@ -56,7 +67,14 @@ class GuestMemoryMap {
   /// Map guest region [gpa, gpa+bytes) to host region [hpa, hpa+bytes).
   /// Both must be page aligned; the guest range must be unmapped.
   Result<void> insert_region(GuestPaddr gpa, HostPaddr hpa, u64 bytes,
-                             MapWork* work = nullptr);
+                             MapWork* work = nullptr) {
+    InsertCursor run_of_one;
+    return insert_region(gpa, hpa, bytes, work, run_of_one);
+  }
+
+  /// The same, as the next insert of the run @p cursor follows.
+  Result<void> insert_region(GuestPaddr gpa, HostPaddr hpa, u64 bytes, MapWork* work,
+                             InsertCursor& cursor);
 
   /// Remove the mapping of guest region [gpa, gpa+bytes).
   Result<void> remove_region(GuestPaddr gpa, u64 bytes, MapWork* work = nullptr);
@@ -78,11 +96,6 @@ class GuestMemoryMap {
   }
 
  private:
-  struct Region {
-    HostPaddr hpa;
-    u64 bytes;
-  };
-
   // ---- radix backend: 4-level 512-ary tree keyed by guest frame number.
   struct RadixNode {
     std::array<std::unique_ptr<RadixNode>, 512> children{};
@@ -106,24 +119,25 @@ class GuestMemoryMap {
 };
 
 inline Result<void> GuestMemoryMap::insert_region(GuestPaddr gpa, HostPaddr hpa,
-                                                  u64 bytes, MapWork* work) {
+                                                  u64 bytes, MapWork* work,
+                                                  InsertCursor& cursor) {
   if ((gpa.value() | hpa.value() | bytes) & kPageMask) return Errc::invalid_argument;
   if (bytes == 0) return Errc::invalid_argument;
   MapWork w;
   if (backend_ == MapBackend::rbtree) {
-    // Overlap check against floor neighbor and (implicitly) the insert probe.
-    RbOpStats st;
-    auto [fk, fv] = rb_.floor(gpa.value() + bytes - 1, &st);
-    if (fk != nullptr && *fk + fv->bytes > gpa.value()) {
-      w.steps += st.nodes_visited;
+    // Overlap check: the floor of the region's last byte must end at or
+    // before gpa. Then no key lies inside the region, so insert(gpa) would
+    // descend to the probe's nil slot; link there and charge that walk as
+    // the insert's descent.
+    const auto s = rb_.seek(gpa.value() + bytes - 1, cursor);
+    w.steps += s.steps();
+    if (s.key() != nullptr && *s.key() + s.value()->bytes > gpa.value()) {
       if (work) *work += w;
       return Errc::already_exists;
     }
     RbOpStats ins;
-    auto [slot, fresh] = rb_.insert(gpa.value(), Region{hpa, bytes}, &ins);
-    (void)slot;
-    XEMEM_ASSERT(fresh);  // overlap check above covers exact duplicates
-    w.steps += st.nodes_visited + ins.nodes_visited + ins.recolorings;
+    rb_.link(s, gpa.value(), Region{hpa, bytes}, cursor, &ins);
+    w.steps += ins.nodes_visited + ins.recolorings;
     w.rotations += ins.rotations;
     w.entries_touched += 1;
     ++entries_;
@@ -151,15 +165,15 @@ inline Result<void> GuestMemoryMap::remove_region(GuestPaddr gpa, u64 bytes,
   if ((gpa.value() | bytes) & kPageMask) return Errc::invalid_argument;
   MapWork w;
   if (backend_ == MapBackend::rbtree) {
-    RbOpStats st;
-    Region* r = rb_.find(gpa.value(), &st);
-    w.steps += st.nodes_visited;
-    if (r == nullptr || r->bytes != bytes) {
+    // The lookup's descent also serves the erase, which counts it again.
+    const auto hit = rb_.locate(gpa.value());
+    w.steps += hit.steps();
+    if (hit.value() == nullptr || hit.value()->bytes != bytes) {
       if (work) *work += w;
       return Errc::invalid_argument;
     }
     RbOpStats er;
-    rb_.erase(gpa.value(), &er);
+    rb_.erase_at(hit, &er);
     w.steps += er.nodes_visited + er.recolorings;
     w.rotations += er.rotations;
     w.entries_touched += 1;

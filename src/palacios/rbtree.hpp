@@ -18,6 +18,14 @@
 // erase, so a guest attach does not pay one heap allocation per page. Which
 // node memory is used never changes the algorithm, so the counts are those
 // of plain new/delete.
+//
+// A guest attach inserts an ascending run of page entries. seek() + link()
+// let such a run skip the descents whose outcome is already known: one
+// descent serves the overlap check and the insert, and a Finger on the last
+// inserted node serves the next page (a finger search, after Guibas,
+// McCreight, Plass and Roberts, STOC 1977). locate() + erase_at() share one
+// descent the same way. They make the same changes to the tree as
+// floor() + insert() and find() + erase(), and report the same counts.
 #pragma once
 
 #include <functional>
@@ -55,7 +63,54 @@ struct RbOpStats {
 
 template <typename K, typename V, typename Cmp = std::less<K>>
 class RbTree {
+  struct Node;
+
  public:
+  /// What seek() found: the floor of the probe, as floor() returns it, the
+  /// nodes floor() visits to find it, and the nil slot the probe descends to.
+  class Seek {
+   public:
+    const K* key() const { return floor_ ? &floor_->key : nullptr; }
+    V* value() const { return floor_ ? &floor_->value : nullptr; }
+    u64 steps() const { return steps_; }
+
+   private:
+    friend class RbTree;
+    Node* floor_{nullptr};   // greatest key <= probe
+    Node* hi_{nullptr};      // least key > probe
+    Node* parent_{nullptr};  // owner of the nil slot (the tree's nil if empty)
+    u64 steps_{0};           // nodes on the path: depth(parent_), root = 1
+    u64 epoch_{0};
+  };
+
+  /// What locate() found: the node holding the key, if any, and the nodes
+  /// the descent visited.
+  class Hit {
+   public:
+    V* value() const { return node_ ? &node_->value : nullptr; }
+    u64 steps() const { return steps_; }
+
+   private:
+    friend class RbTree;
+    Node* node_{nullptr};
+    u64 steps_{0};
+    u64 epoch_{0};
+  };
+
+  /// Where an ascending run of link() calls stands, kept by the caller from
+  /// one call to the next: the node linked last, its depth, and the least
+  /// key above the run's first probe. No key lies strictly between the two,
+  /// so a later probe between them has the last node as its floor, and
+  /// seek() need not descend from the root. Default-constructed, or after
+  /// any other update of the tree, it holds nothing and seek() descends.
+  class Finger {
+    friend class RbTree;
+    Node* last_{nullptr};
+    Node* hi_{nullptr};
+    u64 depth_{0};  // of last_, root = 1
+    u64 epoch_{0};
+  };
+
   RbTree() {
     nil_.color = Color::black;
     nil_.left = nil_.right = nil_.parent = &nil_;
@@ -88,25 +143,17 @@ class RbTree {
         return {&cur->value, false};
       }
     }
-    Node* n = new (take_slot())
-        Node{key, std::move(value), Color::red, &nil_, &nil_, parent};
-    if (parent == &nil_) {
-      root_ = n;
-    } else if (cmp_(key, parent->key)) {
-      parent->left = n;
-    } else {
-      parent->right = n;
-    }
-    ++size_;
-    insert_fixup(n, local);
+    Node* n = attach(parent, key, std::move(value));
+    insert_fixup(n, local, nullptr);
     if (stats) *stats += local;
     return {&n->value, true};
   }
 
   /// Find exact key.
   V* find(const K& key, RbOpStats* stats = nullptr) {
-    Node* n = find_node(key, stats);
-    return n == &nil_ ? nullptr : &n->value;
+    const Hit h = locate(key);
+    if (stats) stats->nodes_visited += h.steps_;
+    return h.value();
   }
   const V* find(const K& key, RbOpStats* stats = nullptr) const {
     return const_cast<RbTree*>(this)->find(key, stats);
@@ -115,34 +162,100 @@ class RbTree {
   /// Greatest key <= @p key (interval lookup for region maps); nullptr pair
   /// members if no such key exists.
   std::pair<const K*, V*> floor(const K& key, RbOpStats* stats = nullptr) {
-    RbOpStats local;
-    Node* best = &nil_;
-    Node* cur = root_;
-    while (cur != &nil_) {
-      ++local.nodes_visited;
-      if (cmp_(key, cur->key)) {
-        cur = cur->left;
-      } else {
-        best = cur;  // cur->key <= key
-        cur = cur->right;
-      }
-    }
-    if (stats) *stats += local;
-    if (best == &nil_) return {nullptr, nullptr};
-    return {&best->key, &best->value};
+    const Seek s = descend(key);
+    if (stats) stats->nodes_visited += s.steps_;
+    return {s.key(), s.value()};
   }
 
   /// Remove @p key. Returns false if absent.
   bool erase(const K& key, RbOpStats* stats = nullptr) {
-    RbOpStats local;
-    Node* z = find_node_counting(key, local);
-    if (z == &nil_) {
-      if (stats) *stats += local;
+    const Hit h = locate(key);
+    if (h.node_ == nullptr) {
+      if (stats) stats->nodes_visited += h.steps_;
       return false;
     }
-    erase_node(z, local);
-    if (stats) *stats += local;
+    erase_at(h, stats);
     return true;
+  }
+
+  /// floor(@p probe), plus where link() can insert a key next to that
+  /// floor; steps() is what floor(probe) counts. If the finger's bracket
+  /// [last, hi) holds the probe, the floor is the finger's last node and
+  /// the probe's nil slot is that node's right child, or else the left
+  /// child of the leftmost node of its right subtree: no descent from the
+  /// root. Otherwise one descent from the root.
+  Seek seek(const K& probe, const Finger& f) {
+    if (f.epoch_ != epoch_ || cmp_(probe, f.last_->key) ||
+        (f.hi_ != nullptr && !cmp_(probe, f.hi_->key))) {
+      return descend(probe);
+    }
+    Seek s;
+    s.floor_ = f.last_;
+    s.hi_ = f.hi_;
+    s.parent_ = f.last_;
+    s.steps_ = f.depth_;
+    s.epoch_ = epoch_;
+    if (s.parent_->right != &nil_) {
+      // That leftmost node is the right child itself: a fix-up rotation
+      // that gives the new node a right child gives it its old parent or
+      // grandparent, and leaves that node's left link nil.
+      s.parent_ = s.parent_->right;
+      ++s.steps_;
+      XEMEM_ASSERT(s.parent_->left == &nil_);
+    }
+    return s;
+  }
+
+  /// Insert @p key at the nil slot @p s found, with no update in between.
+  /// The key must lie strictly between the floor and the least key above
+  /// the probe: insert(key) then descends to that same slot, and @p stats
+  /// gets what insert(key) counts. Leaves @p finger on the new node, with
+  /// its depth kept through the fix-up's rotations.
+  V* link(const Seek& s, const K& key, V value, Finger& finger,
+          RbOpStats* stats = nullptr) {
+    XEMEM_ASSERT(s.epoch_ == epoch_);
+    XEMEM_ASSERT(s.floor_ == nullptr || cmp_(s.floor_->key, key));
+    XEMEM_ASSERT(s.hi_ == nullptr || cmp_(key, s.hi_->key));
+    RbOpStats local;
+    local.nodes_visited = s.steps_;
+    Node* n = attach(s.parent_, key, std::move(value));
+    Tracked t{n, s.steps_ + 1};
+    insert_fixup(n, local, &t);
+    finger.last_ = n;
+    finger.hi_ = s.hi_;
+    finger.depth_ = t.depth;
+    finger.epoch_ = epoch_;
+    if (stats) *stats += local;
+    return &n->value;
+  }
+
+  /// Exact lookup whose result erase_at() can remove without descending
+  /// again.
+  Hit locate(const K& key) {
+    Hit h;
+    h.epoch_ = epoch_;
+    for (Node* cur = root_; cur != &nil_;) {
+      ++h.steps_;
+      if (cmp_(key, cur->key)) {
+        cur = cur->left;
+      } else if (cmp_(cur->key, key)) {
+        cur = cur->right;
+      } else {
+        h.node_ = cur;
+        break;
+      }
+    }
+    return h;
+  }
+
+  /// Erase the node @p h found, with no update in between. @p stats gets
+  /// what erase(key) counts: the descent's steps plus the erase itself.
+  void erase_at(const Hit& h, RbOpStats* stats = nullptr) {
+    XEMEM_ASSERT(h.node_ != nullptr && h.epoch_ == epoch_);
+    RbOpStats local;
+    local.nodes_visited = h.steps_;
+    erase_node(h.node_, local);
+    if (stats) *stats += local;
   }
 
   /// In-order traversal.
@@ -154,6 +267,7 @@ class RbTree {
     free_subtree(root_);
     root_ = &nil_;
     size_ = 0;
+    ++epoch_;
     for (auto& b : blocks_) {
       ASAN_UNPOISON_MEMORY_REGION(b.get(), sizeof(Slot) * kBlockNodes);
     }
@@ -225,31 +339,59 @@ class RbTree {
     ASAN_POISON_MEMORY_REGION(s, sizeof(Slot));
   }
 
-  Node* find_node(const K& key, RbOpStats* stats) {
-    RbOpStats local;
-    Node* n = find_node_counting(key, local);
-    if (stats) *stats += local;
+  // A new red node under @p parent (the nil sentinel: as the root).
+  Node* attach(Node* parent, const K& key, V value) {
+    Node* n = new (take_slot())
+        Node{key, std::move(value), Color::red, &nil_, &nil_, parent};
+    if (parent == &nil_) {
+      root_ = n;
+    } else if (cmp_(key, parent->key)) {
+      parent->left = n;
+    } else {
+      parent->right = n;
+    }
+    ++size_;
+    ++epoch_;
     return n;
   }
 
-  Node* find_node_counting(const K& key, RbOpStats& local) {
-    Node* cur = root_;
-    while (cur != &nil_) {
-      ++local.nodes_visited;
-      if (cmp_(key, cur->key)) {
+  // One descent toward @p probe, as floor() walks it.
+  Seek descend(const K& probe) {
+    Seek s;
+    s.parent_ = &nil_;
+    s.epoch_ = epoch_;
+    for (Node* cur = root_; cur != &nil_;) {
+      ++s.steps_;
+      s.parent_ = cur;
+      if (cmp_(probe, cur->key)) {
+        s.hi_ = cur;
         cur = cur->left;
-      } else if (cmp_(cur->key, key)) {
-        cur = cur->right;
       } else {
-        return cur;
+        s.floor_ = cur;  // cur->key <= probe
+        cur = cur->right;
       }
     }
-    return &nil_;
+    return s;
   }
 
-  void rotate_left(Node* x, RbOpStats& st) {
+  // The node whose depth (root = 1) an insert fix-up keeps current. Every
+  // rotation of the fix-up is at one of its ancestors, so the rotation
+  // moves it by +1, 0 or -1 according to which subtree it lies in.
+  struct Tracked {
+    const Node* node;
+    u64 depth;
+  };
+
+  void rotate_left(Node* x, RbOpStats& st, Tracked* t = nullptr) {
     ++st.rotations;
     Node* y = x->right;
+    if (t != nullptr) {
+      if (!cmp_(x->key, t->node->key)) {
+        ++t->depth;  // x or its left subtree: one level down, below y
+      } else if (!cmp_(t->node->key, y->key)) {
+        --t->depth;  // y or its right subtree: one level up
+      }
+    }
     x->right = y->left;
     if (y->left != &nil_) y->left->parent = x;
     y->parent = x->parent;
@@ -264,9 +406,16 @@ class RbTree {
     x->parent = y;
   }
 
-  void rotate_right(Node* x, RbOpStats& st) {
+  void rotate_right(Node* x, RbOpStats& st, Tracked* t = nullptr) {
     ++st.rotations;
     Node* y = x->left;
+    if (t != nullptr) {
+      if (!cmp_(t->node->key, x->key)) {
+        ++t->depth;  // x or its right subtree: one level down, below y
+      } else if (!cmp_(y->key, t->node->key)) {
+        --t->depth;  // y or its left subtree: one level up
+      }
+    }
     x->left = y->right;
     if (y->right != &nil_) y->right->parent = x;
     y->parent = x->parent;
@@ -281,7 +430,7 @@ class RbTree {
     x->parent = y;
   }
 
-  void insert_fixup(Node* z, RbOpStats& st) {
+  void insert_fixup(Node* z, RbOpStats& st, Tracked* t) {
     while (z->parent->color == Color::red) {
       Node* gp = z->parent->parent;
       if (z->parent == gp->left) {
@@ -295,12 +444,12 @@ class RbTree {
         } else {
           if (z == z->parent->right) {
             z = z->parent;
-            rotate_left(z, st);
+            rotate_left(z, st, t);
           }
           z->parent->color = Color::black;
           gp->color = Color::red;
           st.recolorings += 2;
-          rotate_right(gp, st);
+          rotate_right(gp, st, t);
         }
       } else {
         Node* uncle = gp->left;
@@ -313,12 +462,12 @@ class RbTree {
         } else {
           if (z == z->parent->left) {
             z = z->parent;
-            rotate_right(z, st);
+            rotate_right(z, st, t);
           }
           z->parent->color = Color::black;
           gp->color = Color::red;
           st.recolorings += 2;
-          rotate_left(gp, st);
+          rotate_left(gp, st, t);
         }
       }
     }
@@ -375,6 +524,7 @@ class RbTree {
     }
     release_node(z);
     --size_;
+    ++epoch_;
     if (y_original == Color::black) erase_fixup(x, st);
     // Restore the sentinel (transplant may have set its parent).
     nil_.parent = &nil_;
@@ -490,6 +640,9 @@ class RbTree {
   std::vector<std::unique_ptr<Slot[]>> blocks_;
   Slot* free_{nullptr};
   u64 carved_{kBlockNodes};  ///< slots handed out from blocks_.back()
+  // Bumped by every update. A Seek, Hit or Finger records it and is stale
+  // once it moves; default-constructed ones hold 0 and never match.
+  u64 epoch_{1};
 };
 
 }  // namespace xemem::palacios

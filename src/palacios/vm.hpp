@@ -83,29 +83,32 @@ class PalaciosVm {
   /// Figure 4(a): materialize a host PFN list as new guest-physical pages.
   /// Allocates a fresh hot-plug GPA run and inserts one memory-map entry
   /// per page (see file comment). Returns the new guest frames (one run)
-  /// and the structural work for the caller's time charge.
-  Result<std::pair<hw::FrameExtent, MapWork>> map_host_frames(
-      const mm::PfnList& host) {
+  /// and adds the structural work for the caller's time charge to @p work,
+  /// including, when a page collides, the rollback of the pages before it.
+  Result<hw::FrameExtent> map_host_frames(const mm::PfnList& host,
+                                          MapWork* work = nullptr) {
     auto gpas = hotplug_.alloc(host.page_count(), hw::AllocPolicy::contiguous);
     if (!gpas.ok()) return gpas.error();
     XEMEM_ASSERT(gpas.value().size() == 1);
     const hw::FrameExtent window = gpas.value()[0];
-    MapWork work;
+    // The window's pages ascend and nothing else updates the map meanwhile,
+    // so each insert continues from where the previous one left the tree.
+    GuestMemoryMap::InsertCursor cursor;
     u64 i = 0;
     for (const auto& run : host.runs()) {
       for (u64 k = 0; k < run.count; ++k, ++i) {
         auto ins = map_.insert_region(gpa_of(window, i), (run.start + k).paddr(),
-                                      kPageSize, &work);
+                                      kPageSize, work, cursor);
         if (!ins.ok()) {
           for (u64 j = 0; j < i; ++j) {
-            (void)map_.remove_region(gpa_of(window, j), kPageSize, &work);
+            (void)map_.remove_region(gpa_of(window, j), kPageSize, work);
           }
           hotplug_.free(window);
           return ins.error();
         }
       }
     }
-    return std::pair{window, work};
+    return window;
   }
 
   /// Tear down a hot-plug attachment created by map_host_frames.

@@ -3,7 +3,9 @@
 // backends, and the VM container's Figure-4 translation paths.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -188,6 +190,129 @@ TEST(RbTree, PoolBlocksStayFlatUnderSteadyChurn) {
 
 // ----------------------------------------------------------- GuestMemoryMap
 
+// The rbtree memory map as it updated the tree page by page before window
+// updates: floor() + insert() to map a region and find() + erase() to unmap
+// it, each call counted and charged on its own. The twin of the
+// differential tests below.
+class PerPageTwin {
+ public:
+  bool insert(u64 gpa, u64 bytes, MapWork& w) {
+    RbOpStats st;
+    auto [fk, fv] = t_.floor(gpa + bytes - 1, &st);
+    w.steps += st.nodes_visited;
+    if (fk != nullptr && *fk + *fv > gpa) return false;
+    RbOpStats ins;
+    EXPECT_TRUE(t_.insert(gpa, bytes, &ins).second);
+    w.steps += ins.nodes_visited + ins.recolorings;
+    w.rotations += ins.rotations;
+    ++w.entries_touched;
+    return true;
+  }
+
+  bool remove(u64 gpa, u64 bytes, MapWork& w) {
+    RbOpStats st;
+    const u64* b = t_.find(gpa, &st);
+    w.steps += st.nodes_visited;
+    if (b == nullptr || *b != bytes) return false;
+    RbOpStats er;
+    EXPECT_TRUE(t_.erase(gpa, &er));
+    w.steps += er.nodes_visited + er.recolorings;
+    w.rotations += er.rotations;
+    ++w.entries_touched;
+    return true;
+  }
+
+  u64 size() const { return t_.size(); }
+
+ private:
+  RbTree<u64, u64> t_;  // gpa -> bytes
+};
+
+bool same_work(const MapWork& a, const MapWork& b) {
+  return a.steps == b.steps && a.rotations == b.rotations &&
+         a.entries_touched == b.entries_touched;
+}
+
+// Window updates against the per-page twin: seeded worlds of a few
+// multi-page entries, then windows of 1-600 pages (each with its own
+// cursor, as map_host_frames runs them) placed below, between and above
+// live entries, some of them running into an entry mid-window and going
+// on past it, interleaved with in-order runs of removes. Every page must
+// succeed or fail as the twin's does and be charged the same work.
+TEST(MemoryMapDifferential, WindowUpdatesMatchPerPageTwin) {
+  constexpr u64 kSpace = 1 << 15;  // guest frames the worlds live in
+  u64 ops = 0;
+  u64 overlaps = 0;
+  u64 mismatches = 0;
+  for (u64 seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    GuestMemoryMap m(MapBackend::rbtree);
+    PerPageTwin twin;
+    std::set<u64> live;  // guest frames that start an entry
+    auto check = [&](bool ok, const MapWork& w, bool twin_ok, const MapWork& tw) {
+      ++ops;
+      if (ok == twin_ok && same_work(w, tw)) return;
+      if (mismatches++ == 0) {
+        ADD_FAILURE() << "seed " << seed << " op " << ops << ": ok " << ok << "/"
+                      << twin_ok << " steps " << w.steps << "/" << tw.steps
+                      << " rotations " << w.rotations << "/" << tw.rotations
+                      << " entries " << w.entries_touched << "/"
+                      << tw.entries_touched;
+      }
+    };
+    for (int r = 0; r < 3; ++r) {
+      const u64 gfn = rng.uniform_u64(kSpace);
+      const u64 pages = 64 + rng.uniform_u64(2048);
+      MapWork w, tw;
+      const bool ok = m.insert_region(Gfn{gfn}.paddr(), HostPaddr{0}, pages * kPageSize, &w)
+                          .ok();
+      check(ok, w, twin.insert(Gfn{gfn}.paddr().value(), pages * kPageSize, tw), tw);
+      if (ok) live.insert(gfn);
+    }
+    for (int step = 0; step < 14; ++step) {
+      const u64 len = 1 + rng.uniform_u64(600);
+      if (rng.uniform() < 0.6 || live.empty()) {
+        // A window; a quarter of them start just below a live entry.
+        u64 start = rng.uniform_u64(kSpace);
+        if (!live.empty() && rng.uniform() < 0.25) {
+          auto it = live.lower_bound(start);
+          if (it == live.end()) it = live.begin();
+          start = *it - std::min(*it, rng.uniform_u64(len));
+        }
+        GuestMemoryMap::InsertCursor cursor;
+        for (u64 g = start; g < start + len; ++g) {
+          MapWork w, tw;
+          const bool ok =
+              m.insert_region(Gfn{g}.paddr(), HostPaddr{g * kPageSize}, kPageSize, &w,
+                              cursor)
+                  .ok();
+          const bool twin_ok = twin.insert(Gfn{g}.paddr().value(), kPageSize, tw);
+          check(ok, w, twin_ok, tw);
+          overlaps += twin_ok ? 0 : 1;
+          if (ok) live.insert(g);
+        }
+        ASSERT_TRUE(m.validate()) << "seed " << seed << " step " << step;
+      } else {
+        // An in-order run of page removes from a live entry on; pages that
+        // are not single-page entries fail on both sides.
+        auto it = live.begin();
+        std::advance(it, rng.uniform_u64(live.size()));
+        for (u64 g = *it, end = *it + len; g < end; ++g) {
+          MapWork w, tw;
+          const bool ok = m.remove_region(Gfn{g}.paddr(), kPageSize, &w).ok();
+          check(ok, w, twin.remove(Gfn{g}.paddr().value(), kPageSize, tw), tw);
+          if (ok) live.erase(g);
+        }
+      }
+      ASSERT_EQ(m.entries(), twin.size());
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << ops << " operations";
+  EXPECT_GT(overlaps, 1000u) << "windows must run into live entries";
+  RecordProperty("operations", static_cast<int>(ops));
+  RecordProperty("overlaps", static_cast<int>(overlaps));
+}
+
 class MemoryMapTest : public ::testing::TestWithParam<MapBackend> {};
 
 TEST_P(MemoryMapTest, InsertTranslateRemove) {
@@ -347,9 +472,10 @@ TEST(PalaciosVm, MapHostFramesCreatesPerPageEntries) {
   // Scattered host frames, as a Linux exporter would provide.
   auto scattered = pm.zone(0).alloc(512, hw::AllocPolicy::scattered).value();
   const mm::PfnList host(scattered);
-  auto mapped = vm.map_host_frames(host);
+  MapWork work;
+  auto mapped = vm.map_host_frames(host, &work);
   ASSERT_TRUE(mapped.ok());
-  auto& [window, work] = mapped.value();
+  const hw::FrameExtent window = mapped.value();
   EXPECT_EQ(window.count, 512u);
   EXPECT_EQ(vm.memory_map().entries(), base_entries + 512)
       << "one memory-map entry per attached page (paper section 4.4)";
@@ -369,6 +495,61 @@ TEST(PalaciosVm, MapHostFramesCreatesPerPageEntries) {
   for (auto e : scattered) pm.zone(0).free(e);
 }
 
+// A window that runs into an existing entry fails with the per-page
+// error, charges what the per-page twin charges for the inserts up to the
+// collision and the in-order rollback of the pages before it, frees the
+// window and leaves the map's earlier entries as they were.
+TEST(PalaciosVm, MapHostFramesRollbackMatchesTwin) {
+  hw::PhysicalMemory pm;
+  pm.add_zone(2_GiB);
+  PalaciosVm::Config cfg{"vm", 256_MiB, 256_MiB, MapBackend::rbtree};
+  PalaciosVm vm(cfg, pm.zone(0));
+  ASSERT_TRUE(vm.init().ok());
+  ASSERT_EQ(vm.memory_map().entries(), 1u) << "guest RAM is one entry at GPA 0";
+  // The first hot-plug frame starts the next window; its page 100 collides.
+  const u64 hot = Gfn{pages_for(256_MiB)}.paddr().value();
+  const u64 blocker = hot + 100 * kPageSize;
+  ASSERT_TRUE(
+      vm.memory_map().insert_region(GuestPaddr{blocker}, HostPaddr{0}, kPageSize).ok());
+  PerPageTwin twin;
+  MapWork setup;
+  ASSERT_TRUE(twin.insert(0, 256_MiB, setup));
+  ASSERT_TRUE(twin.insert(blocker, kPageSize, setup));
+
+  auto frames = pm.zone(0).alloc(300, hw::AllocPolicy::scattered).value();
+  const mm::PfnList host(frames);
+  MapWork work;
+  auto mapped = vm.map_host_frames(host, &work);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.error(), Errc::already_exists);
+
+  MapWork expect;
+  u64 pages = 0;
+  while (twin.insert(hot + pages * kPageSize, kPageSize, expect)) ++pages;
+  ASSERT_EQ(pages, 100u);
+  for (u64 j = 0; j < pages; ++j) {
+    ASSERT_TRUE(twin.remove(hot + j * kPageSize, kPageSize, expect));
+  }
+  EXPECT_EQ(work.steps, expect.steps);
+  EXPECT_EQ(work.rotations, expect.rotations);
+  EXPECT_EQ(work.entries_touched, expect.entries_touched);
+
+  EXPECT_EQ(vm.memory_map().entries(), 2u);
+  EXPECT_TRUE(vm.memory_map().validate());
+  EXPECT_TRUE(vm.translate_gfn(Gfn{0}).ok());
+  EXPECT_EQ(vm.translate_gfn(Gfn::of(GuestPaddr{blocker})).value(), Pfn{0});
+  EXPECT_FALSE(vm.translate_gfn(Gfn::of(GuestPaddr{hot})).ok()) << "rolled back";
+
+  // The window went back to the hot-plug zone: with the blocker gone, the
+  // next map gets the same frames.
+  ASSERT_TRUE(vm.memory_map().remove_region(GuestPaddr{blocker}, kPageSize).ok());
+  auto again = vm.map_host_frames(host);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().start, Pfn{Gfn::of(GuestPaddr{hot}).value()});
+  ASSERT_TRUE(vm.unmap_host_frames(again.value()).ok());
+  for (auto e : frames) pm.zone(0).free(e);
+}
+
 TEST(PalaciosVm, HotplugRegionIsReusedAfterUnmap) {
   hw::PhysicalMemory pm;
   pm.add_zone(2_GiB);
@@ -380,7 +561,7 @@ TEST(PalaciosVm, HotplugRegionIsReusedAfterUnmap) {
   for (int round = 0; round < 100; ++round) {
     auto mapped = vm.map_host_frames(host);
     ASSERT_TRUE(mapped.ok());
-    ASSERT_TRUE(vm.unmap_host_frames(mapped.value().first).ok());
+    ASSERT_TRUE(vm.unmap_host_frames(mapped.value()).ok());
   }
   for (auto e : fr) pm.zone(0).free(e);
 }
