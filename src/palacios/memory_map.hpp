@@ -108,6 +108,9 @@ class GuestMemoryMap {
     return static_cast<u32>((gfn.value() >> (9 * (level - 1))) & 0x1ff);
   }
 
+  Result<void> rb_insert(GuestPaddr gpa, HostPaddr hpa, u64 bytes, MapWork* work,
+                         InsertCursor& cursor);
+  Result<void> radix_insert(GuestPaddr gpa, HostPaddr hpa, u64 bytes, MapWork* work);
   Result<void> radix_insert_page(Gfn gfn, HostPaddr hpa, MapWork& w);
   Result<void> radix_remove_page(Gfn gfn, MapWork& w);
   std::optional<HostPaddr> radix_translate(GuestPaddr gpa, MapWork& w) const;
@@ -123,27 +126,38 @@ inline Result<void> GuestMemoryMap::insert_region(GuestPaddr gpa, HostPaddr hpa,
                                                   InsertCursor& cursor) {
   if ((gpa.value() | hpa.value() | bytes) & kPageMask) return Errc::invalid_argument;
   if (bytes == 0) return Errc::invalid_argument;
+  // One function per backend, so that the rbtree side's inlined tree code
+  // does not weigh on each radix page insert.
+  return backend_ == MapBackend::rbtree ? rb_insert(gpa, hpa, bytes, work, cursor)
+                                        : radix_insert(gpa, hpa, bytes, work);
+}
+
+inline Result<void> GuestMemoryMap::rb_insert(GuestPaddr gpa, HostPaddr hpa, u64 bytes,
+                                              MapWork* work, InsertCursor& cursor) {
+  // Overlap check: the floor of the region's last byte must end at or
+  // before gpa. Then no key lies inside the region, so insert(gpa) would
+  // descend to the probe's nil slot; link there and charge that walk as
+  // the insert's descent.
   MapWork w;
-  if (backend_ == MapBackend::rbtree) {
-    // Overlap check: the floor of the region's last byte must end at or
-    // before gpa. Then no key lies inside the region, so insert(gpa) would
-    // descend to the probe's nil slot; link there and charge that walk as
-    // the insert's descent.
-    const auto s = rb_.seek(gpa.value() + bytes - 1, cursor);
-    w.steps += s.steps();
-    if (s.key() != nullptr && *s.key() + s.value()->bytes > gpa.value()) {
-      if (work) *work += w;
-      return Errc::already_exists;
-    }
-    RbOpStats ins;
-    rb_.link(s, gpa.value(), Region{hpa, bytes}, cursor, &ins);
-    w.steps += ins.nodes_visited + ins.recolorings;
-    w.rotations += ins.rotations;
-    w.entries_touched += 1;
-    ++entries_;
+  const auto s = rb_.seek(gpa.value() + bytes - 1, cursor);
+  w.steps += s.steps();
+  if (s.key() != nullptr && *s.key() + s.value()->bytes > gpa.value()) {
     if (work) *work += w;
-    return {};
+    return Errc::already_exists;
   }
+  RbOpStats ins;
+  rb_.link(s, gpa.value(), Region{hpa, bytes}, cursor, &ins);
+  w.steps += ins.nodes_visited + ins.recolorings;
+  w.rotations += ins.rotations;
+  w.entries_touched += 1;
+  ++entries_;
+  if (work) *work += w;
+  return {};
+}
+
+inline Result<void> GuestMemoryMap::radix_insert(GuestPaddr gpa, HostPaddr hpa, u64 bytes,
+                                                 MapWork* work) {
+  MapWork w;
   const u64 pages = bytes >> kPageShift;
   for (u64 i = 0; i < pages; ++i) {
     auto r = radix_insert_page(Gfn::of(gpa + i * kPageSize), hpa + i * kPageSize, w);
