@@ -180,10 +180,10 @@ class RbTree {
 
   /// floor(@p probe), plus where link() can insert a key next to that
   /// floor; steps() is what floor(probe) counts. If the finger's bracket
-  /// [last, hi) holds the probe, the floor is the finger's last node and
-  /// the probe's nil slot is that node's right child, or else the left
-  /// child of the leftmost node of its right subtree: no descent from the
-  /// root. Otherwise one descent from the root.
+  /// [last, hi) holds the probe, the floor is the finger's last node, and
+  /// the probe's nil slot is that node's right child or, when that is
+  /// taken, the right child's left child: no descent. Otherwise one
+  /// descent from the root.
   Seek seek(const K& probe, const Finger& f) {
     if (f.epoch_ != epoch_ || cmp_(probe, f.last_->key) ||
         (f.hi_ != nullptr && !cmp_(probe, f.hi_->key))) {
@@ -196,9 +196,9 @@ class RbTree {
     s.steps_ = f.depth_;
     s.epoch_ = epoch_;
     if (s.parent_->right != &nil_) {
-      // That leftmost node is the right child itself: a fix-up rotation
-      // that gives the new node a right child gives it its old parent or
-      // grandparent, and leaves that node's left link nil.
+      // The right child is the leftmost node of last's right subtree: a
+      // fix-up rotation that gives the new node a right child gives it its
+      // old parent or grandparent, and leaves that node's left link nil.
       s.parent_ = s.parent_->right;
       ++s.steps_;
       XEMEM_ASSERT(s.parent_->left == &nil_);

@@ -3,6 +3,7 @@
 // backends, and the VM container's Figure-4 translation paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <map>
 #include <set>
