@@ -235,11 +235,13 @@ bool same_work(const MapWork& a, const MapWork& b) {
 }
 
 // Window updates against the per-page twin: seeded worlds of a few
-// multi-page entries, then windows of 1-600 pages (each with its own
-// cursor, as map_host_frames runs them) placed below, between and above
-// live entries, some of them running into an entry mid-window and going
-// on past it, interleaved with in-order runs of removes. Every page must
-// succeed or fail as the twin's does and be charged the same work.
+// multi-page entries, then windows of 1-600 pages placed below, between
+// and above live entries, some of them running into an entry mid-window
+// and going on past it, interleaved with in-order runs of removes. Half
+// the windows start a fresh cursor, as map_host_frames does; the rest
+// keep the previous window's, which removes in between make stale. Every
+// page must succeed or fail as the twin's does and be charged the same
+// work.
 TEST(MemoryMapDifferential, WindowUpdatesMatchPerPageTwin) {
   constexpr u64 kSpace = 1 << 15;  // guest frames the worlds live in
   u64 ops = 0;
@@ -250,6 +252,7 @@ TEST(MemoryMapDifferential, WindowUpdatesMatchPerPageTwin) {
     GuestMemoryMap m(MapBackend::rbtree);
     PerPageTwin twin;
     std::set<u64> live;  // guest frames that start an entry
+    GuestMemoryMap::InsertCursor cursor;
     auto check = [&](bool ok, const MapWork& w, bool twin_ok, const MapWork& tw) {
       ++ops;
       if (ok == twin_ok && same_work(w, tw)) return;
@@ -280,7 +283,7 @@ TEST(MemoryMapDifferential, WindowUpdatesMatchPerPageTwin) {
           if (it == live.end()) it = live.begin();
           start = *it - std::min(*it, rng.uniform_u64(len));
         }
-        GuestMemoryMap::InsertCursor cursor;
+        if (rng.uniform() < 0.5) cursor = GuestMemoryMap::InsertCursor{};
         for (u64 g = start; g < start + len; ++g) {
           MapWork w, tw;
           const bool ok =
