@@ -3,7 +3,8 @@
 //
 //  * red-black tree insert/find/erase (the Palacios memory map) vs the
 //    radix alternative — the host-CPU analogue of the section 5.4 effect —
-//    and a whole guest attach/detach window through PalaciosVm;
+//    and a whole guest attach/detach window through PalaciosVm, and its
+//    detach alone;
 //  * 4-level page-table map/translate (every attachment's exporter walk
 //    and attacher map);
 //  * frame-zone allocation policies;
@@ -67,10 +68,11 @@ void BM_RbTreeFind(benchmark::State& state) {
 }
 BENCHMARK(BM_RbTreeFind)->Range(1 << 10, 1 << 18);
 
-// One hot-plug window (Figure 4(a)): map_host_frames puts one memory-map
-// entry per page next to the guest's 1 GiB RAM region, and
-// unmap_host_frames takes them out again. Reported per page.
-void BM_MemoryMapWindow(benchmark::State& state) {
+// One hot-plug window (Figure 4(a)) of range(0) scattered host pages on
+// the range(1) backend (0 rbtree, 1 radix), next to the guest's 1 GiB RAM
+// region. @p pass runs once per iteration; reported per page.
+template <typename Pass>
+void window_bench(benchmark::State& state, Pass pass) {
   const u64 pages = static_cast<u64>(state.range(0));
   const auto backend =
       state.range(1) == 0 ? palacios::MapBackend::rbtree : palacios::MapBackend::radix;
@@ -83,18 +85,39 @@ void BM_MemoryMapWindow(benchmark::State& state) {
   }
   const auto frames = pm.zone(0).alloc(pages, hw::AllocPolicy::scattered).value();
   const mm::PfnList host(frames);
-  for (auto _ : state) {
-    palacios::MapWork work;
-    auto window = vm.map_host_frames(host, &work);
-    benchmark::DoNotOptimize(work.steps);
-    benchmark::DoNotOptimize(vm.unmap_host_frames(window.value()).ok());
-  }
+  for (auto _ : state) pass(vm, host);
   for (auto e : frames) pm.zone(0).free(e);
   state.SetLabel(backend == palacios::MapBackend::rbtree ? "rbtree" : "radix");
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(pages));
 }
+
+// map_host_frames puts one memory-map entry per page, and
+// unmap_host_frames takes them out again. Each MapWork goes whole to
+// DoNotOptimize, as a caller charges all of it: inlined here, a window
+// call whose work went unread would skip counting it.
+void BM_MemoryMapWindow(benchmark::State& state) {
+  window_bench(state, [](palacios::PalaciosVm& vm, const mm::PfnList& host) {
+    palacios::MapWork work;
+    auto window = vm.map_host_frames(host, &work);
+    benchmark::DoNotOptimize(work);
+    auto unwork = vm.unmap_host_frames(window.value());
+    benchmark::DoNotOptimize(unwork);
+  });
+}
 BENCHMARK(BM_MemoryMapWindow)->ArgsProduct({{1 << 14, 1 << 17}, {0, 1}});
+
+// unmap_host_frames alone; the window is mapped untimed before each pass.
+void BM_MemoryMapUnmap(benchmark::State& state) {
+  window_bench(state, [&state](palacios::PalaciosVm& vm, const mm::PfnList& host) {
+    state.PauseTiming();
+    auto window = vm.map_host_frames(host);
+    state.ResumeTiming();
+    auto unwork = vm.unmap_host_frames(window.value());
+    benchmark::DoNotOptimize(unwork);
+  });
+}
+BENCHMARK(BM_MemoryMapUnmap)->ArgsProduct({{1 << 14, 1 << 17}, {0, 1}});
 
 void BM_PageTableMapRange(benchmark::State& state) {
   const u64 pages = static_cast<u64>(state.range(0));

@@ -83,7 +83,10 @@ fi
 
 if [[ $asan_only -eq 0 ]]; then
   echo "== tier-1: RelWithDebInfo build + ctest =="
-  cmake -B build -S . >/dev/null
+  # Any compiler warning fails the build. The setting stays cached in
+  # build/, so later plain `cmake -B build` runs keep it; pass
+  # -DCMAKE_COMPILE_WARNING_AS_ERROR=OFF there to drop it.
+  cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
   cmake --build build -j
   ctest --test-dir build --output-on-failure -j "$(nproc)"
 

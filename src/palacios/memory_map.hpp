@@ -58,6 +58,12 @@ class GuestMemoryMap {
   /// update of the map made without it costs the next insert a full descent.
   using InsertCursor = RbTree<u64, Region>::Finger;
 
+  /// Lets a run of remove_region() calls at ascending GPAs (rbtree backend)
+  /// find each entry where the previous remove left the entry after it,
+  /// instead of from the root. Results and charges are those of calls
+  /// without one; any other update of the map voids it.
+  using RemoveCursor = RbTree<u64, Region>::Successor;
+
   explicit GuestMemoryMap(MapBackend backend) : backend_(backend) {
     if (backend == MapBackend::radix) radix_root_ = std::make_unique<RadixNode>();
   }
@@ -77,7 +83,14 @@ class GuestMemoryMap {
                              InsertCursor& cursor);
 
   /// Remove the mapping of guest region [gpa, gpa+bytes).
-  Result<void> remove_region(GuestPaddr gpa, u64 bytes, MapWork* work = nullptr);
+  Result<void> remove_region(GuestPaddr gpa, u64 bytes, MapWork* work = nullptr) {
+    RemoveCursor run_of_one;
+    return remove_region(gpa, bytes, work, run_of_one);
+  }
+
+  /// The same, as the next remove of the run @p cursor follows.
+  Result<void> remove_region(GuestPaddr gpa, u64 bytes, MapWork* work,
+                             RemoveCursor& cursor);
 
   /// Translate one guest physical address.
   std::optional<HostPaddr> translate(GuestPaddr gpa, MapWork* work = nullptr) const;
@@ -89,6 +102,12 @@ class GuestMemoryMap {
 
   /// Number of live map entries (rb-tree nodes / radix leaf slots).
   u64 entries() const { return entries_; }
+
+  /// rb-tree backend only: whether remove_region(@p gpa) takes its entry
+  /// from @p cursor instead of descending (the tests count these).
+  bool serves(const RemoveCursor& cursor, GuestPaddr gpa) const {
+    return backend_ == MapBackend::rbtree && rb_.serves(cursor, gpa.value());
+  }
 
   /// rb-tree backend only: verify the red-black invariants.
   bool validate() const {
@@ -111,6 +130,8 @@ class GuestMemoryMap {
   Result<void> rb_insert(GuestPaddr gpa, HostPaddr hpa, u64 bytes, MapWork* work,
                          InsertCursor& cursor);
   Result<void> radix_insert(GuestPaddr gpa, HostPaddr hpa, u64 bytes, MapWork* work);
+  Result<void> rb_remove(GuestPaddr gpa, u64 bytes, MapWork* work, RemoveCursor& cursor);
+  Result<void> radix_remove(GuestPaddr gpa, u64 bytes, MapWork* work);
   Result<void> radix_insert_page(Gfn gfn, HostPaddr hpa, MapWork& w);
   Result<void> radix_remove_page(Gfn gfn, MapWork& w);
   std::optional<HostPaddr> radix_translate(GuestPaddr gpa, MapWork& w) const;
@@ -175,26 +196,39 @@ inline Result<void> GuestMemoryMap::radix_insert(GuestPaddr gpa, HostPaddr hpa, 
 }
 
 inline Result<void> GuestMemoryMap::remove_region(GuestPaddr gpa, u64 bytes,
-                                                  MapWork* work) {
+                                                  MapWork* work, RemoveCursor& cursor) {
   if ((gpa.value() | bytes) & kPageMask) return Errc::invalid_argument;
+  // One function per backend, as for inserts.
+  return backend_ == MapBackend::rbtree ? rb_remove(gpa, bytes, work, cursor)
+                                        : radix_remove(gpa, bytes, work);
+}
+
+// Out of line: inlined, the tree code made remove_region() too big to be
+// inlined into a window's page loop, and every radix page paid for a call.
+[[gnu::noinline]] inline Result<void> GuestMemoryMap::rb_remove(GuestPaddr gpa, u64 bytes,
+                                                                MapWork* work,
+                                                                RemoveCursor& cursor) {
+  // The lookup's descent, or the cursor's depth in its place, also serves
+  // the erase, which counts it again.
   MapWork w;
-  if (backend_ == MapBackend::rbtree) {
-    // The lookup's descent also serves the erase, which counts it again.
-    const auto hit = rb_.locate(gpa.value());
-    w.steps += hit.steps();
-    if (hit.value() == nullptr || hit.value()->bytes != bytes) {
-      if (work) *work += w;
-      return Errc::invalid_argument;
-    }
-    RbOpStats er;
-    rb_.erase_at(hit, &er);
-    w.steps += er.nodes_visited + er.recolorings;
-    w.rotations += er.rotations;
-    w.entries_touched += 1;
-    --entries_;
+  const auto hit = rb_.locate(gpa.value(), cursor);
+  w.steps += hit.steps();
+  if (hit.value() == nullptr || hit.value()->bytes != bytes) {
     if (work) *work += w;
-    return {};
+    return Errc::invalid_argument;
   }
+  RbOpStats er;
+  rb_.erase_at(hit, &cursor, &er);
+  w.steps += er.nodes_visited + er.recolorings;
+  w.rotations += er.rotations;
+  w.entries_touched += 1;
+  --entries_;
+  if (work) *work += w;
+  return {};
+}
+
+inline Result<void> GuestMemoryMap::radix_remove(GuestPaddr gpa, u64 bytes, MapWork* work) {
+  MapWork w;
   const u64 pages = bytes >> kPageShift;
   for (u64 i = 0; i < pages; ++i) {
     auto r = radix_remove_page(Gfn::of(gpa + i * kPageSize), w);

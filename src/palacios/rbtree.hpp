@@ -24,8 +24,10 @@
 // descent serves the overlap check and the insert, and a Finger on the last
 // inserted node serves the next page (a finger search, after Guibas,
 // McCreight, Plass and Roberts, STOC 1977). locate() + erase_at() share one
-// descent the same way. They make the same changes to the tree as
-// floor() + insert() and find() + erase(), and report the same counts.
+// descent the same way, and a Successor left by each erase finds the next
+// key of an ascending run of removes with no descent. They make the same
+// changes to the tree as floor() + insert() and find() + erase(), and
+// report the same counts.
 #pragma once
 
 #include <functional>
@@ -111,6 +113,17 @@ class RbTree {
     u64 epoch_{0};
   };
 
+  /// What erase_at() leaves for the next erase of an ascending run: the
+  /// erased node's successor and its depth, kept through the erase. Empty
+  /// when default-constructed, after erasing the greatest key, or once any
+  /// other update of the tree makes it stale; locate() then descends.
+  class Successor {
+    friend class RbTree;
+    Node* node_{nullptr};
+    u64 depth_{0};  // root = 1
+    u64 epoch_{0};
+  };
+
   RbTree() {
     nil_.color = Color::black;
     nil_.left = nil_.right = nil_.parent = &nil_;
@@ -174,7 +187,7 @@ class RbTree {
       if (stats) stats->nodes_visited += h.steps_;
       return false;
     }
-    erase_at(h, stats);
+    erase_at(h, nullptr, stats);
     return true;
   }
 
@@ -248,13 +261,39 @@ class RbTree {
     return h;
   }
 
+  /// Whether @p next holds @p key's node, so that locate(key, next) needs
+  /// no descent. The epoch is checked before the node is touched.
+  bool serves(const Successor& next, const K& key) const {
+    return next.epoch_ == epoch_ && !cmp_(key, next.node_->key) &&
+           !cmp_(next.node_->key, key);
+  }
+
+  /// locate(@p key), taken from @p next when it serves the key: the node's
+  /// depth is the steps the descent would count.
+  Hit locate(const K& key, const Successor& next) {
+    if (!serves(next, key)) return locate(key);
+    Hit h;
+    h.node_ = next.node_;
+    h.steps_ = next.depth_;
+    h.epoch_ = epoch_;
+    return h;
+  }
+
   /// Erase the node @p h found, with no update in between. @p stats gets
   /// what erase(key) counts: the descent's steps plus the erase itself.
-  void erase_at(const Hit& h, RbOpStats* stats = nullptr) {
+  /// If @p next is given, leaves it on the erased node's successor.
+  void erase_at(const Hit& h, Successor* next, RbOpStats* stats = nullptr) {
     XEMEM_ASSERT(h.node_ != nullptr && h.epoch_ == epoch_);
     RbOpStats local;
     local.nodes_visited = h.steps_;
-    erase_node(h.node_, local);
+    Tracked t{nullptr, 0};
+    if (next != nullptr) t = successor(h.node_, h.steps_);
+    erase_node(h.node_, h.steps_, local, t.node != nullptr ? &t : nullptr);
+    if (next != nullptr) {
+      next->node_ = t.node;
+      next->depth_ = t.depth;
+      next->epoch_ = t.node != nullptr ? epoch_ : 0;  // none after the greatest key
+    }
     if (stats) *stats += local;
   }
 
@@ -374,13 +413,24 @@ class RbTree {
     return s;
   }
 
-  // The node whose depth (root = 1) an insert fix-up keeps current. Every
-  // rotation of the fix-up is at one of its ancestors, so the rotation
-  // moves it by +1, 0 or -1 according to which subtree it lies in.
+  // The node whose depth (root = 1) a fix-up keeps current. A rotation
+  // given it must be at one of its ancestors or at itself; it then moves
+  // the node by +1, 0 or -1 according to which subtree it lies in.
   struct Tracked {
-    const Node* node;
+    Node* node;
     u64 depth;
   };
+
+  // The node after @p n in key order (nullptr if none) and its depth, from
+  // n's depth @p d. Host work only: nothing counts it.
+  Tracked successor(Node* n, u64 d) const {
+    if (n->right != &nil_) {
+      for (n = n->right, ++d; n->left != &nil_; n = n->left) ++d;
+      return {n, d};
+    }
+    for (; n->parent != &nil_ && n == n->parent->right; n = n->parent) --d;
+    return {n->parent != &nil_ ? n->parent : nullptr, d - 1};
+  }
 
   void rotate_left(Node* x, RbOpStats& st, Tracked* t = nullptr) {
     ++st.rotations;
@@ -496,18 +546,29 @@ class RbTree {
     return n;
   }
 
-  void erase_node(Node* z, RbOpStats& st) {
+  // Erase @p z, at depth @p dz. @p t, if given, holds z's successor, whose
+  // depth is kept through the transplant and the fix-up. Keys never move
+  // between nodes, so t still names the node with the next key after it.
+  void erase_node(Node* z, u64 dz, RbOpStats& st, Tracked* t) {
     Node* y = z;
     Color y_original = y->color;
     Node* x;
+    u64 dx = dz;  // x's depth: x takes z's place, or y's below
     if (z->left == &nil_) {
       x = z->right;
+      // A right child holds the successor in its subtree, which moves up.
+      if (t != nullptr && x != &nil_) --t->depth;
       transplant(z, z->right);
     } else if (z->right == &nil_) {
-      x = z->left;
+      x = z->left;  // the successor is an ancestor of z and stays put
       transplant(z, z->left);
     } else {
       y = minimum(z->right, st);
+      if (t != nullptr) {
+        XEMEM_ASSERT(t->node == y);
+        dx = t->depth;  // x takes y's place, y takes z's
+        t->depth = dz;
+      }
       y_original = y->color;
       x = y->right;
       if (y->parent == z) {
@@ -525,13 +586,18 @@ class RbTree {
     release_node(z);
     --size_;
     ++epoch_;
-    if (y_original == Color::black) erase_fixup(x, st);
+    if (y_original == Color::black) erase_fixup(x, dx, st, t);
     // Restore the sentinel (transplant may have set its parent).
     nil_.parent = &nil_;
     nil_.left = nil_.right = &nil_;
   }
 
-  void erase_fixup(Node* x, RbOpStats& st) {
+  // @p x is at depth @p dx. A node @p t tracks lies on the path from the
+  // root to x or in x's subtree, before and after every step: so rotations
+  // at x's sibling never move it, and one at x's parent, at depth dx - 1,
+  // moves it exactly when it lies at that depth or deeper.
+  void erase_fixup(Node* x, u64 dx, RbOpStats& st, Tracked* t) {
+    auto under_parent = [&] { return t != nullptr && t->depth + 1 >= dx ? t : nullptr; };
     while (x != root_ && x->color == Color::black) {
       ++st.nodes_visited;
       if (x == x->parent->left) {
@@ -540,13 +606,15 @@ class RbTree {
           w->color = Color::black;
           x->parent->color = Color::red;
           st.recolorings += 2;
-          rotate_left(x->parent, st);
+          rotate_left(x->parent, st, under_parent());
+          ++dx;
           w = x->parent->right;
         }
         if (w->left->color == Color::black && w->right->color == Color::black) {
           w->color = Color::red;
           ++st.recolorings;
           x = x->parent;
+          --dx;
         } else {
           if (w->right->color == Color::black) {
             w->left->color = Color::black;
@@ -559,7 +627,7 @@ class RbTree {
           x->parent->color = Color::black;
           w->right->color = Color::black;
           st.recolorings += 3;
-          rotate_left(x->parent, st);
+          rotate_left(x->parent, st, under_parent());
           x = root_;
         }
       } else {
@@ -568,13 +636,15 @@ class RbTree {
           w->color = Color::black;
           x->parent->color = Color::red;
           st.recolorings += 2;
-          rotate_right(x->parent, st);
+          rotate_right(x->parent, st, under_parent());
+          ++dx;
           w = x->parent->left;
         }
         if (w->right->color == Color::black && w->left->color == Color::black) {
           w->color = Color::red;
           ++st.recolorings;
           x = x->parent;
+          --dx;
         } else {
           if (w->left->color == Color::black) {
             w->right->color = Color::black;
@@ -587,7 +657,7 @@ class RbTree {
           x->parent->color = Color::black;
           w->left->color = Color::black;
           st.recolorings += 3;
-          rotate_right(x->parent, st);
+          rotate_right(x->parent, st, under_parent());
           x = root_;
         }
       }

@@ -100,8 +100,9 @@ class PalaciosVm {
         auto ins = map_.insert_region(gpa_of(window, i), (run.start + k).paddr(),
                                       kPageSize, work, cursor);
         if (!ins.ok()) {
+          GuestMemoryMap::RemoveCursor undo;
           for (u64 j = 0; j < i; ++j) {
-            (void)map_.remove_region(gpa_of(window, j), kPageSize, work);
+            (void)map_.remove_region(gpa_of(window, j), kPageSize, work, undo);
           }
           hotplug_.free(window);
           return ins.error();
@@ -114,8 +115,11 @@ class PalaciosVm {
   /// Tear down a hot-plug attachment created by map_host_frames.
   Result<MapWork> unmap_host_frames(hw::FrameExtent window) {
     MapWork work;
+    // The pages ascend, so each remove finds its entry where the previous
+    // one left the next.
+    GuestMemoryMap::RemoveCursor cursor;
     for (u64 i = 0; i < window.count; ++i) {
-      auto r = map_.remove_region(gpa_of(window, i), kPageSize, &work);
+      auto r = map_.remove_region(gpa_of(window, i), kPageSize, &work, cursor);
       if (!r.ok()) return r.error();
     }
     if (window.count > 0) hotplug_.free(window);

@@ -176,7 +176,9 @@ TEST(PageTableProperty, DifferentialAgainstMapOracle) {
       auto pte = pt.lookup(va);
       auto it = oracle.find(va.value());
       ASSERT_EQ(pte.has_value(), it != oracle.end());
-      if (pte) EXPECT_EQ(pte->pfn.value(), it->second);
+      if (pte) {
+        EXPECT_EQ(pte->pfn.value(), it->second);
+      }
     }
   }
   EXPECT_EQ(pt.mapped_pages(), oracle.size());
@@ -373,7 +375,9 @@ TEST(PageTableDifferential, RangeOpsMatchPerPageTwin) {
       const auto want = twin_translate_range(twin, va, len, &ts);
       ASSERT_EQ(got.ok(), want.ok());
       // Equal lists, and maximal runs: list_of builds those.
-      if (got.ok()) ASSERT_EQ(got.value(), list_of(want.value()));
+      if (got.ok()) {
+        ASSERT_EQ(got.value(), list_of(want.value()));
+      }
       ++(got.ok() ? range_ok : range_failed);
     }
     ASSERT_TRUE(same_stats(fs, ts))
@@ -390,7 +394,9 @@ TEST(PageTableDifferential, RangeOpsMatchPerPageTwin) {
     const auto a = fast.lookup(base + i * kPageSize);
     const auto b = twin.lookup(base + i * kPageSize);
     ASSERT_EQ(a.has_value(), b.has_value()) << "page " << i;
-    if (a) ASSERT_EQ(a->pfn, b->pfn) << "page " << i;
+    if (a) {
+      ASSERT_EQ(a->pfn, b->pfn) << "page " << i;
+    }
   }
   // Both outcomes were exercised often enough to mean something.
   EXPECT_GT(range_ok, 300u);

@@ -64,7 +64,9 @@ TEST(RbTree, InOrderTraversalIsSorted) {
   u64 prev = 0;
   bool first = true;
   t.for_each([&](const u64& k, const u64&) {
-    if (!first) EXPECT_GT(k, prev);
+    if (!first) {
+      EXPECT_GT(k, prev);
+    }
     prev = k;
     first = false;
   });
@@ -110,7 +112,9 @@ TEST(RbTreeProperty, DifferentialAgainstStdMap) {
       auto* v = t.find(k);
       auto it = oracle.find(k);
       ASSERT_EQ(v != nullptr, it != oracle.end());
-      if (v) ASSERT_EQ(*v, it->second);
+      if (v) {
+        ASSERT_EQ(*v, it->second);
+      }
     } else {
       auto [fk, fv] = t.floor(k);
       auto it = oracle.upper_bound(k);
@@ -237,22 +241,29 @@ bool same_work(const MapWork& a, const MapWork& b) {
 // Window updates against the per-page twin: seeded worlds of a few
 // multi-page entries, then windows of 1-600 pages placed below, between
 // and above live entries, some of them running into an entry mid-window
-// and going on past it, interleaved with in-order runs of removes. Half
-// the windows start a fresh cursor, as map_host_frames does; the rest
-// keep the previous window's, which removes in between make stale. Every
-// page must succeed or fail as the twin's does and be charged the same
-// work.
+// and going on past it, interleaved with in-order runs of page removes
+// from a live entry on and with removals of whole windows, one at a time
+// in random order, as unmap_host_frames does; what windows are left is
+// removed the same way at the end. Every run, of inserts or of removes,
+// goes through its kind's cursor. Half the runs start a fresh one, as
+// map_host_frames and unmap_host_frames do; the rest keep the previous
+// run's, which any update of the other kind makes stale. Every page must
+// succeed or fail as the twin's does and be charged the same work.
 TEST(MemoryMapDifferential, WindowUpdatesMatchPerPageTwin) {
   constexpr u64 kSpace = 1 << 15;  // guest frames the worlds live in
   u64 ops = 0;
   u64 overlaps = 0;
   u64 mismatches = 0;
+  u64 removed = 0;  // successful page removes
+  u64 served = 0;   // of those, the ones the remove cursor found
   for (u64 seed = 1; seed <= 300; ++seed) {
     Rng rng(seed);
     GuestMemoryMap m(MapBackend::rbtree);
     PerPageTwin twin;
-    std::set<u64> live;  // guest frames that start an entry
+    std::set<u64> live;                        // guest frames that start an entry
+    std::vector<std::pair<u64, u64>> windows;  // [first, end) of each window put in
     GuestMemoryMap::InsertCursor cursor;
+    GuestMemoryMap::RemoveCursor rcursor;
     auto check = [&](bool ok, const MapWork& w, bool twin_ok, const MapWork& tw) {
       ++ops;
       if (ok == twin_ok && same_work(w, tw)) return;
@@ -263,6 +274,29 @@ TEST(MemoryMapDifferential, WindowUpdatesMatchPerPageTwin) {
                       << " entries " << w.entries_touched << "/"
                       << tw.entries_touched;
       }
+    };
+    // Page removes over [first, end) in order; pages that are not
+    // single-page entries fail on both sides.
+    auto remove_run = [&](u64 first, u64 end) {
+      if (rng.uniform() < 0.5) rcursor = GuestMemoryMap::RemoveCursor{};
+      for (u64 g = first; g < end; ++g) {
+        MapWork w, tw;
+        const bool hit = m.serves(rcursor, Gfn{g}.paddr());
+        const bool ok = m.remove_region(Gfn{g}.paddr(), kPageSize, &w, rcursor).ok();
+        check(ok, w, twin.remove(Gfn{g}.paddr().value(), kPageSize, tw), tw);
+        if (ok) {
+          live.erase(g);
+          ++removed;
+          served += hit ? 1 : 0;
+        }
+      }
+    };
+    auto remove_window = [&] {
+      const u64 pick = rng.uniform_u64(windows.size());
+      const auto [first, end] = windows[pick];
+      windows[pick] = windows.back();
+      windows.pop_back();
+      remove_run(first, end);
     };
     for (int r = 0; r < 3; ++r) {
       const u64 gfn = rng.uniform_u64(kSpace);
@@ -275,7 +309,8 @@ TEST(MemoryMapDifferential, WindowUpdatesMatchPerPageTwin) {
     }
     for (int step = 0; step < 14; ++step) {
       const u64 len = 1 + rng.uniform_u64(600);
-      if (rng.uniform() < 0.6 || live.empty()) {
+      const double dice = rng.uniform();
+      if (dice < 0.6 || live.empty()) {
         // A window; a quarter of them start just below a live entry.
         u64 start = rng.uniform_u64(kSpace);
         if (!live.empty() && rng.uniform() < 0.25) {
@@ -295,26 +330,28 @@ TEST(MemoryMapDifferential, WindowUpdatesMatchPerPageTwin) {
           overlaps += twin_ok ? 0 : 1;
           if (ok) live.insert(g);
         }
+        windows.emplace_back(start, start + len);
         ASSERT_TRUE(m.validate()) << "seed " << seed << " step " << step;
-      } else {
-        // An in-order run of page removes from a live entry on; pages that
-        // are not single-page entries fail on both sides.
+      } else if (dice < 0.8 || windows.empty()) {
         auto it = live.begin();
         std::advance(it, rng.uniform_u64(live.size()));
-        for (u64 g = *it, end = *it + len; g < end; ++g) {
-          MapWork w, tw;
-          const bool ok = m.remove_region(Gfn{g}.paddr(), kPageSize, &w).ok();
-          check(ok, w, twin.remove(Gfn{g}.paddr().value(), kPageSize, tw), tw);
-          if (ok) live.erase(g);
-        }
+        remove_run(*it, *it + len);
+      } else {
+        remove_window();
       }
       ASSERT_EQ(m.entries(), twin.size());
     }
+    while (!windows.empty()) remove_window();
+    ASSERT_TRUE(m.validate()) << "seed " << seed;
+    ASSERT_EQ(m.entries(), twin.size());
   }
   EXPECT_EQ(mismatches, 0u) << "of " << ops << " operations";
   EXPECT_GT(overlaps, 1000u) << "windows must run into live entries";
+  EXPECT_GT(served, removed * 3 / 4) << "the remove cursor must find most entries";
   RecordProperty("operations", static_cast<int>(ops));
   RecordProperty("overlaps", static_cast<int>(overlaps));
+  RecordProperty("removes", static_cast<int>(removed));
+  RecordProperty("removes_served", static_cast<int>(served));
 }
 
 class MemoryMapTest : public ::testing::TestWithParam<MapBackend> {};
