@@ -137,9 +137,18 @@ if [[ $asan_only -eq 0 ]]; then
   fi
 
   # These two JSONs hold wall-clock fields, so the smoke refreshes them.
+  # In the I/O cache JSON only engine_speedup's three wall-clock fields are
+  # host time: with those masked, it must equal the committed file before
+  # the refresh (its central-NS lease rows and sharded cells are simulated).
   echo "== burst-buffer I/O cache ablation smoke =="
   run_timed "ablation_iocache" \
     ./build/bench/ablation_iocache --quick --json build/iocache.json
+  mask_wall='s/"(serial_wall_ms|parallel_wall_ms|speedup)": [^,}]*/"\1": -/g'
+  if ! diff -u <(sed -E "$mask_wall" BENCH_iocache.json) \
+               <(sed -E "$mask_wall" build/iocache.json); then
+    echo "bench: simulated outputs differ from BENCH_iocache.json" >&2
+    exit 1
+  fi
   cp build/iocache.json BENCH_iocache.json
 
   echo "== parallel discrete-event engine ablation smoke =="

@@ -30,10 +30,6 @@ class IpiController {
     handlers_[key(core->id(), vector)] = Entry{core, handler_cost, std::move(fn)};
   }
 
-  void unregister_handler(u32 core_id, u32 vector) {
-    handlers_.erase(key(core_id, vector));
-  }
-
   /// Post an IPI: fire-and-forget from the sender's perspective, exactly
   /// like a hardware APIC write. The handler runs (serialized) on the
   /// destination core and its callback fires when the handler retires.

@@ -202,7 +202,6 @@ class CacheServer {
   const IoCacheStats& stats() const { return stats_; }
   u64 resident_blocks() const { return resident_.size(); }
   u64 dirty_blocks() const { return dirty_count_; }
-  Segid dir_segid() const { return dir_segid_; }
   XememKernel& kernel() { return kernel_; }
 
  private:

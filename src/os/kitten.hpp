@@ -84,7 +84,6 @@ class KittenEnclave final : public Enclave {
   // trade-off is granularity: frames must be 2 MiB-aligned and regions are
   // shared in 2 MiB units.
   void set_large_pages(bool on) { large_pages_ = on; }
-  bool large_pages() const { return large_pages_; }
 
  private:
   Result<std::vector<hw::FrameExtent>> frames_alloc(u64 pages);

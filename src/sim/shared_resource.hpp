@@ -51,11 +51,6 @@ class SharedBandwidth {
   /// Number of concurrently active transfers (diagnostics / tests).
   size_t active() const { return jobs_.size(); }
 
-  /// Instantaneous per-job rate in bytes/ns.
-  double current_rate() const {
-    return jobs_.empty() ? cap_ : cap_ / static_cast<double>(jobs_.size());
-  }
-
  private:
   struct Job {
     double remaining;

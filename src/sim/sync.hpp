@@ -141,7 +141,6 @@ class Mailbox {
   }
 
   size_t pending() const { return queue_.size(); }
-  bool has_waiters() const { return !waiters_.empty(); }
 
  private:
   struct Waiter {

@@ -212,9 +212,7 @@ void XememKernel::crash() {
   revoked_caps_.clear();
   revoked_handles_.clear();
   // A dying name server takes its registry with it.
-  ns_segids_.clear();
-  ns_names_.clear();
-  ns_leases_.clear();
+  ns_registry_.clear();
   XLOG_WARN("xemem", "%s: enclave crashed (abrupt)", os_.name().c_str());
 }
 
@@ -366,10 +364,7 @@ sim::Task<void> XememKernel::heartbeat_actor() {
           // We host this replica ourselves: renew in place.
           auto it = shard_replicas_.find(s);
           if (it != shard_replicas_.end()) {
-            auto l = it->second->leases.find(id().value());
-            if (l != it->second->leases.end()) {
-              l->second = sim::now() + cfg_.lease_duration;
-            }
+            it->second->registry.renew(id(), sim::now() + cfg_.lease_duration);
           }
           continue;
         }
@@ -407,36 +402,15 @@ sim::Task<void> XememKernel::lease_reaper() {
   }
 }
 
-void XememKernel::ns_touch_lease(EnclaveId e) {
-  if (cfg_.lease_duration == 0 || !e.valid() || e == EnclaveId{0}) return;
-  // Renew-only: an enclave whose lease already expired has been
-  // garbage-collected and must not be resurrected by stale traffic.
-  auto it = ns_leases_.find(e.value());
-  if (it != ns_leases_.end()) it->second = sim::now() + cfg_.lease_duration;
-}
-
 void XememKernel::ns_gc_expired_leases() {
-  if (cfg_.lease_duration == 0 || ns_leases_.empty()) return;
-  const sim::TimePoint t = sim::now();
-  std::vector<u64> dead;
-  for (const auto& [e, expiry] : ns_leases_) {
-    if (expiry <= t) dead.push_back(e);
-  }
-  for (u64 e : dead) {
-    ns_leases_.erase(e);
-    enclave_map_.erase(e);
-    for (auto it = ns_segids_.begin(); it != ns_segids_.end();) {
-      if (it->second.owner == EnclaveId{e}) {
-        if (!it->second.name.empty()) ns_names_.erase(it->second.name);
-        it = ns_segids_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+  if (cfg_.lease_duration == 0) return;
+  for (EnclaveId e : ns_registry_.expired(sim::now())) {
+    ns_registry_.erase_owner(e);
+    enclave_map_.erase(e.value());
     ++stats_.leases_expired;
     XLOG_WARN("xemem", "name server: lease of enclave %llu expired, "
               "garbage-collected its segids/names/routes",
-              static_cast<unsigned long long>(e));
+              static_cast<unsigned long long>(e.value()));
   }
 }
 
@@ -590,10 +564,11 @@ sim::Task<Result<Message>> XememKernel::request_to_owner(Message msg) {
   if (is_ns_ && !sharding_enabled()) {
     // We *are* the name server: resolve the owner locally instead of
     // sending to ourselves.
-    auto it = ns_segids_.find(msg.segid.value());
-    if (it == ns_segids_.end()) co_return Errc::no_such_segid;
+    const Registry::Record* rec = ns_registry_.find(msg.segid);
+    if (rec == nullptr) co_return Errc::no_such_segid;
+    const EnclaveId owner = rec->owner;
     co_await os_.service_core()->run_irq(costs::kNameServerOp);
-    msg.dst = it->second.owner;
+    msg.dst = owner;
     XEMEM_ASSERT_MSG(msg.dst != id(),
                      "self-owned segid must use the local fast path");
     co_return co_await request(std::move(msg));
@@ -756,56 +731,13 @@ sim::Task<void> XememKernel::handle(Message msg, ChannelEndpoint* from) {
       if (!msg.is_one_way()) co_await route_response(std::move(cached), from);
       co_return;
     }
-    switch (msg.cmd) {
-      case Cmd::get: {
-        if (cap_crashpoint(msg)) co_return;
-        Message resp = co_await serve_get(msg);
-        dedup_store(msg.req_id, resp);
-        co_await route_response(std::move(resp), from);
-        co_return;
-      }
-      case Cmd::attach: {
-        if (cap_crashpoint(msg)) co_return;
-        Message resp = co_await serve_attach(msg);
-        dedup_store(msg.req_id, resp);
-        co_await route_response(std::move(resp), from);
-        co_return;
-      }
-      case Cmd::detach: {
-        Message resp = co_await serve_detach(msg);
-        dedup_store(msg.req_id, resp);
-        co_await route_response(std::move(resp), from);
-        co_return;
-      }
-      case Cmd::cap_derive: {
-        if (cap_crashpoint(msg)) co_return;
-        Message resp = co_await serve_cap_derive(msg);
-        dedup_store(msg.req_id, resp);
-        co_await route_response(std::move(resp), from);
-        co_return;
-      }
-      case Cmd::cap_revoke: {
-        if (cap_crashpoint(msg)) co_return;
-        Message resp = co_await serve_cap_revoke(msg);
-        dedup_store(msg.req_id, resp);
-        co_await route_response(std::move(resp), from);
-        co_return;
-      }
-      case Cmd::cap_revoked: {
-        co_await apply_cap_revoked(std::move(msg));
-        co_return;  // one-way
-      }
-      case Cmd::release: {
-        dedup_store(msg.req_id, Message{});  // marker: suppress replays
-        auto it = exports_.find(msg.segid.value());
-        if (it != exports_.end() && it->second.grants > 0) --it->second.grants;
-        co_return;  // one-way
-      }
-      default:
-        XLOG_WARN("xemem", "%s: unexpected command %s", os_.name().c_str(),
-                  cmd_name(msg.cmd));
-        co_return;
+    if (msg.cmd == Cmd::cap_revoked) {
+      co_await apply_cap_revoked(std::move(msg));
+      co_return;  // one-way
     }
+    auto resp = co_await serve_owned(msg);
+    if (resp.has_value()) co_await route_response(std::move(*resp), from);
+    co_return;
   }
 
   // 5. Everything else is in transit.
@@ -904,7 +836,9 @@ sim::Task<void> XememKernel::ns_handle(Message msg, ChannelEndpoint* from) {
   // (so a retry against a dead owner's segid fails fast with
   // no_such_segid even between reaper ticks), then renew the sender's.
   ns_gc_expired_leases();
-  ns_touch_lease(msg.src);
+  if (cfg_.lease_duration > 0) {
+    ns_registry_.renew(msg.src, sim::now() + cfg_.lease_duration);
+  }
 
   // Name-server commands are idempotent per req_id, mirroring the
   // owner-side cache: a retried segid_alloc must not leak a second segid
@@ -917,6 +851,7 @@ sim::Task<void> XememKernel::ns_handle(Message msg, ChannelEndpoint* from) {
   }
 
   Message resp;
+  resp.cmd = response_cmd(msg.cmd);
   resp.req_id = msg.req_id;
   resp.src = EnclaveId{0};
   resp.dst = msg.src;
@@ -925,132 +860,50 @@ sim::Task<void> XememKernel::ns_handle(Message msg, ChannelEndpoint* from) {
   switch (msg.cmd) {
     case Cmd::heartbeat:
       co_return;  // one-way; the renewal above is the whole effect
-    case Cmd::enclave_shutdown: {
+    case Cmd::enclave_shutdown:
       enclave_map_.erase(msg.src.value());
-      ns_leases_.erase(msg.src.value());
-      for (auto it = ns_segids_.begin(); it != ns_segids_.end();) {
-        if (it->second.owner == msg.src) {
-          if (!it->second.name.empty()) ns_names_.erase(it->second.name);
-          it = ns_segids_.erase(it);
-        } else {
-          ++it;
-        }
-      }
+      ns_registry_.erase_owner(msg.src);
       co_return;  // one-way
-    }
     case Cmd::alloc_enclave_id: {
       const u64 fresh = next_enclave_id_++;
       enclave_map_[fresh] = from;
       if (cfg_.lease_duration > 0) {
-        ns_leases_[fresh] = sim::now() + cfg_.lease_duration;
+        ns_registry_.grant(EnclaveId{fresh}, sim::now() + cfg_.lease_duration);
       }
-      resp.cmd = Cmd::enclave_id_resp;
       resp.dst = EnclaveId{fresh};
       resp.payload.push_back(fresh);
-      dedup_store(msg.req_id, resp);
-      co_await from->send(std::move(resp));
-      co_return;
+      break;
     }
-    case Cmd::segid_alloc: {
-      if (!msg.name.empty() && ns_names_.contains(msg.name)) {
-        resp.cmd = Cmd::segid_alloc_resp;
+    case Cmd::segid_alloc:
+      if (!msg.name.empty() && ns_registry_.has_name(msg.name)) {
         resp.status = Errc::already_exists;
-        dedup_store(msg.req_id, resp);
-        co_await from->send(std::move(resp));
-        co_return;
+        break;
       }
-      const Segid sid{make_segid_value(1, next_segid_++)};
-      ns_segids_[sid.value()] = NsSegidRecord{msg.src, msg.size, msg.name};
-      if (!msg.name.empty()) ns_names_[msg.name] = sid;
-      resp.cmd = Cmd::segid_alloc_resp;
-      resp.segid = sid;
-      dedup_store(msg.req_id, resp);
+      resp.segid = Segid{make_segid_value(1, next_segid_++)};
+      ns_registry_.add(resp.segid, msg.src, msg.size, msg.name);
+      break;
+    case Cmd::segid_remove:
+      if (!ns_registry_.erase(msg.segid)) resp.status = Errc::no_such_segid;
+      break;
+    case Cmd::name_lookup:
+      ns_registry_.lookup(msg.name, &resp);
       co_await from->send(std::move(resp));
       co_return;
-    }
-    case Cmd::segid_remove: {
-      auto it = ns_segids_.find(msg.segid.value());
-      resp.cmd = Cmd::segid_remove_resp;
-      if (it == ns_segids_.end()) {
-        resp.status = Errc::no_such_segid;
-      } else {
-        if (!it->second.name.empty()) ns_names_.erase(it->second.name);
-        ns_segids_.erase(it);
-      }
-      dedup_store(msg.req_id, resp);
+    case Cmd::name_list:
+      ns_registry_.list(&resp);
       co_await from->send(std::move(resp));
       co_return;
-    }
-    case Cmd::name_lookup: {
-      resp.cmd = Cmd::name_lookup_resp;
-      auto it = ns_names_.find(msg.name);
-      if (it == ns_names_.end()) {
-        resp.status = Errc::no_such_segid;
-      } else {
-        resp.segid = it->second;
-        resp.size = ns_segids_[it->second.value()].size;
-      }
-      co_await from->send(std::move(resp));
-      co_return;
-    }
-    case Cmd::name_list: {
-      resp.cmd = Cmd::name_list_resp;
-      for (const auto& [name, sid] : ns_names_) {
-        if (!resp.name.empty()) resp.name += '\n';
-        resp.name += name;
-        resp.payload.push_back(sid.value());
-      }
-      co_await from->send(std::move(resp));
-      co_return;
-    }
     case Cmd::get:
     case Cmd::attach:
     case Cmd::detach:
     case Cmd::cap_derive:
     case Cmd::cap_revoke:
-    case Cmd::release: {
+    case Cmd::release:
       // Forward to the owning enclave (paper section 4.2: "the name
       // server, which maps segids to enclaves, forwards the command to
       // the destination enclave which owns the segid").
-      auto it = ns_segids_.find(msg.segid.value());
-      if (it == ns_segids_.end()) {
-        if (msg.cmd == Cmd::release) co_return;  // one-way: drop
-        Message err;
-        err.cmd = response_cmd(msg.cmd);
-        err.req_id = msg.req_id;
-        err.src = EnclaveId{0};
-        err.dst = msg.src;
-        err.status = Errc::no_such_segid;
-        dedup_store(msg.req_id, err);
-        co_await from->send(std::move(err));
-        co_return;
-      }
-      const EnclaveId owner = it->second.owner;
-      if (owner == id()) {
-        // This name server's own enclave owns the segid: serve directly.
-        if (cap_crashpoint(msg)) co_return;
-        Message resp2;
-        switch (msg.cmd) {
-          case Cmd::get: resp2 = co_await serve_get(msg); break;
-          case Cmd::attach: resp2 = co_await serve_attach(msg); break;
-          case Cmd::detach: resp2 = co_await serve_detach(msg); break;
-          case Cmd::cap_derive: resp2 = co_await serve_cap_derive(msg); break;
-          case Cmd::cap_revoke: resp2 = co_await serve_cap_revoke(msg); break;
-          default: {
-            dedup_store(msg.req_id, Message{});  // one-way release marker
-            auto ex = exports_.find(msg.segid.value());
-            if (ex != exports_.end() && ex->second.grants > 0) --ex->second.grants;
-            co_return;
-          }
-        }
-        dedup_store(msg.req_id, resp2);
-        co_await from->send(std::move(resp2));
-        co_return;
-      }
-      msg.dst = owner;
-      co_await forward(std::move(msg), from);
+      co_await route_to_owner(ns_registry_, std::move(msg), std::move(resp), from);
       co_return;
-    }
     case Cmd::cap_revoked:
       // The name server's own enclave held attachments under a revoked
       // subtree: the owner's fan-out addresses it as dst 0 like every
@@ -1061,9 +914,58 @@ sim::Task<void> XememKernel::ns_handle(Message msg, ChannelEndpoint* from) {
       XLOG_WARN("xemem", "name server: unexpected %s", cmd_name(msg.cmd));
       co_return;
   }
+  // Allocations and removals: a retry is answered from the dedup cache.
+  dedup_store(msg.req_id, resp);
+  co_await from->send(std::move(resp));
+}
+
+sim::Task<void> XememKernel::route_to_owner(const Registry& reg, Message msg,
+                                            Message resp, ChannelEndpoint* from) {
+  const Registry::Record* rec = reg.find(msg.segid);
+  if (rec == nullptr) {
+    if (msg.cmd == Cmd::release) co_return;  // one-way: drop
+    resp.status = Errc::no_such_segid;
+    dedup_store(msg.req_id, resp);
+    co_await from->send(std::move(resp));
+    co_return;
+  }
+  if (rec->owner == id()) {
+    // The registry host's own enclave owns the segid: serve it here.
+    auto out = co_await serve_owned(msg);
+    if (out.has_value()) co_await from->send(std::move(*out));
+    co_return;
+  }
+  msg.dst = rec->owner;
+  msg.shard = 0;
+  msg.shard_epoch = 0;  // leaves the shard fabric: plain owner traffic
+  co_await forward(std::move(msg), from);
 }
 
 // ----------------------------------------------------- owner-side servicing
+
+sim::Task<std::optional<Message>> XememKernel::serve_owned(const Message& msg) {
+  if (cap_crashpoint(msg)) co_return std::nullopt;
+  Message resp;
+  switch (msg.cmd) {
+    case Cmd::get: resp = co_await serve_get(msg); break;
+    case Cmd::attach: resp = co_await serve_attach(msg); break;
+    case Cmd::detach: resp = co_await serve_detach(msg); break;
+    case Cmd::cap_derive: resp = co_await serve_cap_derive(msg); break;
+    case Cmd::cap_revoke: resp = co_await serve_cap_revoke(msg); break;
+    case Cmd::release: {
+      dedup_store(msg.req_id, Message{});  // one-way: marker suppresses replays
+      auto it = exports_.find(msg.segid.value());
+      if (it != exports_.end() && it->second.grants > 0) --it->second.grants;
+      co_return std::nullopt;
+    }
+    default:
+      XLOG_WARN("xemem", "%s: unexpected command %s", os_.name().c_str(),
+                cmd_name(msg.cmd));
+      co_return std::nullopt;
+  }
+  dedup_store(msg.req_id, resp);
+  co_return resp;
+}
 
 sim::Task<Message> XememKernel::serve_get(const Message& msg) {
   Message resp;
@@ -1783,12 +1685,9 @@ sim::Task<Result<Segid>> XememKernel::xpmem_make(os::Process& owner, Vaddr va,
   Segid sid{};
   if (is_ns_ && !sharding_enabled()) {
     co_await os_.service_core()->run_irq(costs::kNameServerOp);
-    if (!name.empty()) {
-      if (ns_names_.contains(name)) co_return Errc::already_exists;
-    }
+    if (!name.empty() && ns_registry_.has_name(name)) co_return Errc::already_exists;
     sid = Segid{make_segid_value(1, next_segid_++)};
-    ns_segids_[sid.value()] = NsSegidRecord{id(), size, name};
-    if (!name.empty()) ns_names_[name] = sid;
+    ns_registry_.add(sid, id(), size, name);
   } else {
     Message req;
     req.cmd = Cmd::segid_alloc;
@@ -1840,11 +1739,7 @@ sim::Task<Result<void>> XememKernel::xpmem_remove(os::Process& owner, Segid segi
 
   if (is_ns_ && !sharding_enabled()) {
     co_await os_.service_core()->run_irq(costs::kNameServerOp);
-    auto ns = ns_segids_.find(segid.value());
-    if (ns != ns_segids_.end()) {
-      if (!ns->second.name.empty()) ns_names_.erase(ns->second.name);
-      ns_segids_.erase(ns);
-    }
+    ns_registry_.erase(segid);
   } else {
     Message req;
     req.cmd = Cmd::segid_remove;
@@ -1916,6 +1811,7 @@ sim::Task<Result<XpmemGrant>> XememKernel::xpmem_get(const Capability& cap,
   if (!cfg_.capabilities || !cap.valid()) co_return Errc::invalid_argument;
   if (revoked_caps_.contains(cap.id)) co_return Errc::revoked;
   auto it = exports_.find(cap.segid.value());
+  if (it != exports_.end() && it->second.removing) co_return Errc::no_such_segid;
   if (it != exports_.end()) {
     CapNode* node = nullptr;
     const Errc ce =
@@ -1952,9 +1848,9 @@ sim::Task<Result<void>> XememKernel::xpmem_release(const XpmemGrant& grant) {
   req.src = id();
   req.req_id = g_req_counter++;
   if (is_ns_ && !sharding_enabled()) {
-    auto ns = ns_segids_.find(grant.segid.value());
-    if (ns == ns_segids_.end()) co_return Errc::no_such_segid;
-    req.dst = ns->second.owner;
+    const Registry::Record* rec = ns_registry_.find(grant.segid);
+    if (rec == nullptr) co_return Errc::no_such_segid;
+    req.dst = rec->owner;
   } else if (auto oc = owner_cache_.find(grant.segid.value());
              oc != owner_cache_.end()) {
     // One-way releases benefit from the owner cache too: send straight to
@@ -2236,9 +2132,9 @@ sim::Task<Result<std::vector<std::pair<std::string, Segid>>>>
 XememKernel::xpmem_list() {
   if (is_ns_ && !sharding_enabled()) {
     co_await os_.service_core()->run_irq(costs::kNameServerOp);
-    std::vector<std::pair<std::string, Segid>> out;
-    for (const auto& [name, sid] : ns_names_) out.emplace_back(name, sid);
-    co_return out;
+    Message listed;
+    ns_registry_.list(&listed);
+    co_return decode_name_list(listed);
   }
   if (sharding_enabled()) {
     // The registry is partitioned: enumerate every shard and merge.
@@ -2267,9 +2163,10 @@ XememKernel::xpmem_list() {
 sim::Task<Result<Segid>> XememKernel::xpmem_search(const std::string& name) {
   if (is_ns_ && !sharding_enabled()) {
     co_await os_.service_core()->run_irq(costs::kNameServerOp);
-    auto it = ns_names_.find(name);
-    if (it == ns_names_.end()) co_return Errc::no_such_segid;
-    co_return it->second;
+    Message found;
+    ns_registry_.lookup(name, &found);
+    if (found.status != Errc::ok) co_return found.status;
+    co_return found.segid;
   }
   Message req;
   req.cmd = Cmd::name_lookup;
@@ -2484,16 +2381,15 @@ sim::Task<void> XememKernel::shard_handle(Message msg, ChannelEndpoint* from) {
     // owner must never be garbage-collected because its renewal raced an
     // election it had not heard about.
     if (cfg_.lease_duration > 0 && msg.src.valid()) {
-      auto renew = [&](ShardReplica* r) {
-        auto l = r->leases.find(msg.src.value());
-        if (l != r->leases.end()) l->second = sim::now() + cfg_.lease_duration;
-      };
-      renew(rep);
+      const sim::TimePoint expiry = sim::now() + cfg_.lease_duration;
+      rep->registry.renew(msg.src, expiry);
       // The payload lists every additional shard we host whose renewal
       // the sender coalesced into this one message.
       for (u64 s : msg.payload) {
         auto extra = shard_replicas_.find(static_cast<u32>(s));
-        if (extra != shard_replicas_.end()) renew(extra->second.get());
+        if (extra != shard_replicas_.end()) {
+          extra->second->registry.renew(msg.src, expiry);
+        }
       }
     }
     co_return;  // one-way
@@ -2543,7 +2439,7 @@ sim::Task<void> XememKernel::shard_handle(Message msg, ChannelEndpoint* from) {
 
   switch (msg.cmd) {
     case Cmd::segid_alloc: {
-      if (!msg.name.empty() && rep->names.contains(msg.name)) {
+      if (!msg.name.empty() && rep->registry.has_name(msg.name)) {
         resp.status = Errc::already_exists;
         dedup_store(msg.req_id, resp);
         co_await from->send(std::move(resp));
@@ -2579,8 +2475,8 @@ sim::Task<void> XememKernel::shard_handle(Message msg, ChannelEndpoint* from) {
       co_return;
     }
     case Cmd::segid_remove: {
-      auto it = rep->segids.find(msg.segid.value());
-      if (it == rep->segids.end()) {
+      const Registry::Record* rec = rep->registry.find(msg.segid);
+      if (rec == nullptr) {
         // Authoritative: this replica is fresh and the quorum-intersection
         // property makes its committed view complete.
         resp.status = Errc::no_such_segid;
@@ -2592,9 +2488,9 @@ sim::Task<void> XememKernel::shard_handle(Message msg, ChannelEndpoint* from) {
       op.kind = ShardOp::Kind::remove;
       op.epoch = rep->epoch;
       op.segid = msg.segid.value();
-      op.size = it->second.size;
-      op.owner = it->second.owner.value();
-      op.name = it->second.name;
+      op.size = rec->size;
+      op.owner = rec->owner.value();
+      op.name = rec->name;
       auto committed = co_await shard_quorum_commit(rep, op);
       if (crashed_ || stopped_) co_return;
       resp.shard_epoch = rep->epoch;
@@ -2608,72 +2504,26 @@ sim::Task<void> XememKernel::shard_handle(Message msg, ChannelEndpoint* from) {
       co_await from->send(std::move(resp));
       co_return;
     }
-    case Cmd::name_lookup: {
-      auto it = rep->names.find(msg.name);
-      if (it == rep->names.end()) {
-        resp.status = Errc::no_such_segid;
-      } else {
-        resp.segid = it->second;
-        resp.size = rep->segids[it->second.value()].size;
-      }
+    case Cmd::name_lookup:
+      rep->registry.lookup(msg.name, &resp);
       co_await from->send(std::move(resp));
       co_return;
-    }
-    case Cmd::name_list: {
-      for (const auto& [nm, sid] : rep->names) {
-        if (!resp.name.empty()) resp.name += '\n';
-        resp.name += nm;
-        resp.payload.push_back(sid.value());
-      }
+    case Cmd::name_list:
+      rep->registry.list(&resp);
       co_await from->send(std::move(resp));
       co_return;
-    }
     case Cmd::get:
     case Cmd::attach:
     case Cmd::detach:
     case Cmd::cap_derive:
     case Cmd::cap_revoke:
-    case Cmd::release: {
+    case Cmd::release:
       // Segid-keyed commands resolve the owner here and forward, exactly
       // like the classic name server (the response retraces through the
       // pending_fwd_ table).
-      auto it = rep->segids.find(msg.segid.value());
-      if (it == rep->segids.end()) {
-        if (msg.cmd == Cmd::release) co_return;  // one-way: drop
-        resp.status = Errc::no_such_segid;
-        dedup_store(msg.req_id, resp);
-        co_await from->send(std::move(resp));
-        co_return;
-      }
-      const EnclaveId owner = it->second.owner;
-      if (owner == id()) {
-        if (cap_crashpoint(msg)) co_return;
-        Message resp2;
-        switch (msg.cmd) {
-          case Cmd::get: resp2 = co_await serve_get(msg); break;
-          case Cmd::attach: resp2 = co_await serve_attach(msg); break;
-          case Cmd::detach: resp2 = co_await serve_detach(msg); break;
-          case Cmd::cap_derive: resp2 = co_await serve_cap_derive(msg); break;
-          case Cmd::cap_revoke: resp2 = co_await serve_cap_revoke(msg); break;
-          default: {
-            dedup_store(msg.req_id, Message{});  // one-way release marker
-            auto ex = exports_.find(msg.segid.value());
-            if (ex != exports_.end() && ex->second.grants > 0) {
-              --ex->second.grants;
-            }
-            co_return;
-          }
-        }
-        dedup_store(msg.req_id, resp2);
-        co_await from->send(std::move(resp2));
-        co_return;
-      }
-      msg.dst = owner;
-      msg.shard = 0;
-      msg.shard_epoch = 0;  // leaves the shard fabric: plain owner traffic
-      co_await forward(std::move(msg), from);
+      co_await route_to_owner(rep->registry, std::move(msg), std::move(resp),
+                              from);
       co_return;
-    }
     default:
       XLOG_WARN("xemem", "%s: shard %u: unexpected %s", os_.name().c_str(),
                 msg.shard, cmd_name(msg.cmd));
@@ -3007,26 +2857,22 @@ sim::Task<void> XememKernel::shard_lease_reaper(u32 shard) {
     // does so through the log so every replica collects the same enclave
     // at the same index (a follower's local clocks never GC anything).
     if (!rep->primary || !shard_is_fresh(*rep)) continue;
-    std::vector<u64> dead;
-    const sim::TimePoint t = sim::now();
-    for (const auto& [e, expiry] : rep->leases) {
-      if (expiry <= t) dead.push_back(e);
-    }
-    for (u64 enclave : dead) {
+    const std::vector<EnclaveId> dead = rep->registry.expired(sim::now());
+    for (EnclaveId enclave : dead) {
       if (stopped_ || crashed_ || !rep->primary) break;
-      auto l = rep->leases.find(enclave);
-      if (l == rep->leases.end() || l->second > sim::now()) continue;  // renewed
+      // Renewed (or already collected) while an earlier commit suspended.
+      if (!rep->registry.lease_expired(enclave, sim::now())) continue;
       ShardOp op;
       op.kind = ShardOp::Kind::lease_gc;
       op.epoch = rep->epoch;
-      op.owner = enclave;
+      op.owner = enclave.value();
       auto committed = co_await shard_quorum_commit(rep, op);
       if (committed.ok()) {
         ++stats_.leases_expired;
         XLOG_WARN("xemem", "%s: shard %u: lease of enclave %llu expired, "
                   "garbage-collected via the log",
                   os_.name().c_str(), shard,
-                  static_cast<unsigned long long>(enclave));
+                  static_cast<unsigned long long>(enclave.value()));
       }
     }
   }
@@ -3034,42 +2880,23 @@ sim::Task<void> XememKernel::shard_lease_reaper(u32 shard) {
 
 void XememKernel::shard_apply(ShardReplica* rep, const ShardOp& op) {
   switch (op.kind) {
-    case ShardOp::Kind::alloc: {
-      rep->segids[op.segid] =
-          NsSegidRecord{EnclaveId{op.owner}, op.size, op.name};
-      if (!op.name.empty()) rep->names[op.name] = Segid{op.segid};
+    case ShardOp::Kind::alloc:
+      rep->registry.add(Segid{op.segid}, EnclaveId{op.owner}, op.size, op.name);
       if (cfg_.lease_duration > 0) {
-        rep->leases[op.owner] = sim::now() + cfg_.lease_duration;
+        rep->registry.grant(EnclaveId{op.owner}, sim::now() + cfg_.lease_duration);
       }
       break;
-    }
-    case ShardOp::Kind::remove: {
-      auto it = rep->segids.find(op.segid);
-      if (it != rep->segids.end()) {
-        if (!it->second.name.empty()) rep->names.erase(it->second.name);
-        rep->segids.erase(it);
-      }
+    case ShardOp::Kind::remove:
+      rep->registry.erase(Segid{op.segid});
       break;
-    }
-    case ShardOp::Kind::lease_gc: {
-      rep->leases.erase(op.owner);
-      for (auto it = rep->segids.begin(); it != rep->segids.end();) {
-        if (it->second.owner == EnclaveId{op.owner}) {
-          if (!it->second.name.empty()) rep->names.erase(it->second.name);
-          it = rep->segids.erase(it);
-        } else {
-          ++it;
-        }
-      }
+    case ShardOp::Kind::lease_gc:
+      rep->registry.erase_owner(EnclaveId{op.owner});
       break;
-    }
   }
 }
 
 void XememKernel::shard_rebuild(ShardReplica* rep) {
-  rep->segids.clear();
-  rep->names.clear();
-  rep->leases.clear();
+  rep->registry.clear();
   rep->applied = 0;
   for (const auto& op : rep->log) {
     shard_apply(rep, op);

@@ -20,6 +20,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -32,6 +33,7 @@
 #include "os/enclave.hpp"
 #include "xemem/api.hpp"
 #include "xemem/channel.hpp"
+#include "xemem/registry.hpp"
 #include "xemem/wire.hpp"
 
 namespace xemem {
@@ -247,10 +249,10 @@ class XememKernel {
   /// expires after retry_window(); see the orphan-response expiry logic).
   u64 pending_forwards() const { return pending_fwd_.size(); }
   /// Name-server registry sizes (0 on non-name-server kernels).
-  u64 ns_segid_count() const { return ns_segids_.size(); }
-  u64 ns_name_count() const { return ns_names_.size(); }
+  u64 ns_segid_count() const { return ns_registry_.segid_count(); }
+  u64 ns_name_count() const { return ns_registry_.name_count(); }
   /// Whether the name server currently holds a live lease for @p e.
-  bool ns_has_lease(EnclaveId e) const { return ns_leases_.contains(e.value()); }
+  bool ns_has_lease(EnclaveId e) const { return ns_registry_.has_lease(e); }
   /// Attach fast-path cache occupancy (invalidation tests assert these
   /// drain back to zero after remove/crash/lease expiry).
   u64 owner_cache_entries() const { return owner_cache_.size(); }
@@ -316,7 +318,7 @@ class XememKernel {
   /// Registry view / op-log sizes of the local replica of shard @p s.
   u64 shard_segid_count(u32 s) const {
     auto it = shard_replicas_.find(s);
-    return it != shard_replicas_.end() ? it->second->segids.size() : 0;
+    return it != shard_replicas_.end() ? it->second->registry.segid_count() : 0;
   }
   u64 shard_log_size(u32 s) const {
     auto it = shard_replicas_.find(s);
@@ -428,13 +430,6 @@ class XememKernel {
     std::unordered_map<u64, CapNode> nodes;
   };
 
-  // Name-server global state.
-  struct NsSegidRecord {
-    EnclaveId owner;
-    u64 size;
-    std::string name;
-  };
-
   // ----------------------------------------- sharded name service (§6c)
 
   /// One entry of a shard's replicated op log. The log is the durable
@@ -463,10 +458,7 @@ class XememKernel {
     std::vector<ShardOp> log;
     u64 applied{0};   ///< log prefix materialized into the view below
     u64 next_seq{1};  ///< per-epoch mint counter (segid seq = seq*S + shard)
-    // Registry view: a replay of the log prefix.
-    std::unordered_map<u64, NsSegidRecord> segids;
-    std::unordered_map<std::string, Segid> names;
-    std::unordered_map<u64, sim::TimePoint> leases;  // owner -> expiry
+    Registry registry;  ///< the registry view: a replay of the log prefix
     // Liveness bookkeeping: when each peer replica was last heard from
     // (probe answers, replicate acks, votes) and, on followers, when the
     // primary last proved itself. Drives read-freshness and the
@@ -521,10 +513,15 @@ class XememKernel {
   /// self_channel_, so a replica host serves its own shard requests.
   ChannelEndpoint* route_for(EnclaveId dst);
 
-  u64 fresh_req_id() { return (id().value() << 32) | next_req_++; }
-
   // Name-server command handling (only when is_ns_).
   sim::Task<void> ns_handle(Message msg, ChannelEndpoint* from);
+  /// A registry host's answer to a segid command (get, attach, detach,
+  /// release, cap_derive, cap_revoke): resolve the owner in @p reg and
+  /// serve the command here if this enclave owns it, else forward it
+  /// there. An unknown segid is answered no_such_segid through @p resp,
+  /// the host's response template.
+  sim::Task<void> route_to_owner(const Registry& reg, Message msg, Message resp,
+                                 ChannelEndpoint* from);
 
   // ----- Sharded name service plumbing (DESIGN.md §6c).
   /// Commands a client addresses to a shard (as opposed to the replica
@@ -579,13 +576,15 @@ class XememKernel {
   bool dedup_hit(u64 rid, Message* out);
   void dedup_store(u64 rid, const Message& resp);
   void prune_dedup();
-  // Lease bookkeeping (name-server side; no-ops when leases disabled).
-  void ns_touch_lease(EnclaveId e);
+  // Name-server lease sweep (a no-op when leases are disabled).
   void ns_gc_expired_leases();
   // Expire forwarded-request entries whose response never arrived.
   void prune_pending_fwd();
 
-  // Owner-side servicing of attach/detach/get for local exports.
+  /// Owner-side servicing of a segid command for a local export:
+  /// crashpoint, then serve_*, then dedup_store. Returns the response, or
+  /// nothing for a one-way release or when the crashpoint fired.
+  sim::Task<std::optional<Message>> serve_owned(const Message& msg);
   sim::Task<Message> serve_get(const Message& msg);
   sim::Task<Message> serve_attach(const Message& msg);
   sim::Task<Message> serve_detach(const Message& msg);
@@ -731,14 +730,11 @@ class XememKernel {
   u64 cap_requests_seen_{0};
 
   u64 next_handle_{1};
-  u32 next_req_{1};
 
   // Name-server state.
   u64 next_segid_{1};
   u64 next_enclave_id_{1};  // 0 is the name server itself
-  std::unordered_map<u64, NsSegidRecord> ns_segids_;
-  std::unordered_map<std::string, Segid> ns_names_;
-  std::unordered_map<u64, sim::TimePoint> ns_leases_;  // enclave -> expiry
+  Registry ns_registry_;
 
   // ------------------------------------------- name-server death (§6b)
   bool ns_lost_{false};      // discovery terminally exhausted

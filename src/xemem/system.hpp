@@ -45,7 +45,6 @@ class Node {
   /// Protocol policy for every kernel created after this call (timeouts,
   /// retry/backoff limits, lease duration). Call before add_*.
   void set_kernel_config(const KernelConfig& cfg) { kcfg_ = cfg; }
-  const KernelConfig& kernel_config() const { return kcfg_; }
 
   /// Decorate every channel created after this call with deterministic
   /// fault injection (drops/dups/delays per FaultSpec). Each endpoint

@@ -381,6 +381,40 @@ TEST(Capabilities, RequireCapShutsTheCaplessDoor) {
   f.eng.run(main());
 }
 
+TEST(Capabilities, GetsDuringAnInflightRemoveSeeNoSuchSegid) {
+  // xpmem_remove marks the export removing before its name-service round
+  // trip. A get in the owner's own enclave that lands in that window, by
+  // segid or by capability, must be refused like a remote one: otherwise
+  // it returns ok and counts a grant on an export about to be erased.
+  Fixture f(74);
+  auto main = [&]() -> sim::Task<void> {
+    co_await f.node.start();
+    auto& owner = f.node.kernel("owner");
+    os::Process* op = f.node.enclave("owner").create_process(1_MiB).value();
+    auto sid = co_await owner.xpmem_make(*op, op->image_base(), 1_MiB);
+    CO_ASSERT_TRUE(sid.ok());
+    auto root = owner.cap_root(sid.value());
+    CO_ASSERT_TRUE(root.ok());
+
+    Errc by_segid = Errc::ok;
+    Errc by_cap = Errc::ok;
+    sim::Event got;
+    auto getter = [&]() -> sim::Task<void> {
+      co_await sim::delay(1);  // the remove is now awaiting the name server
+      by_segid = (co_await owner.xpmem_get(sid.value())).error();
+      by_cap = (co_await owner.xpmem_get(root.value())).error();
+      got.set();
+    };
+    sim::Engine::current()->spawn(getter());
+    CO_ASSERT_TRUE((co_await owner.xpmem_remove(*op, sid.value())).ok());
+    co_await got.wait();
+    EXPECT_EQ(by_segid, Errc::no_such_segid) << errc_name(by_segid);
+    EXPECT_EQ(by_cap, Errc::no_such_segid) << errc_name(by_cap);
+    EXPECT_EQ(owner.exports_live(), 0u);
+  };
+  f.eng.run(main());
+}
+
 TEST(Capabilities, RevocationRacingInflightAttachesConverges) {
   // An attacher hammers attach/detach through a capability while the
   // owner revokes it mid-stream. Every attach must end ok (and then be
