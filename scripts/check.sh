@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: tier-1 build + tests, a golden diff of the paper
-# harnesses' and the page-structure ablations' simulated outputs and of
-# the simulated-only ablation JSONs against their committed BENCH_*.json,
+# harnesses' and the page-structure ablations' simulated outputs, of the
+# repository benchmark's attach and multinode digests, and of the
+# simulated-only ablation JSONs against their committed BENCH_*.json,
 # then the same suite under AddressSanitizer/UBSan (catches lifetime bugs
 # the coroutine-heavy simulator is prone to), plus optional standalone
 # UBSan and TSan legs.
@@ -111,6 +112,21 @@ if [[ $asan_only -eq 0 ]]; then
   done
   if [[ $golden_failed -ne 0 ]]; then
     echo "golden: simulated outputs differ from bench/golden/" >&2
+    exit 1
+  fi
+
+  echo "== golden: perfbench digests of simulated outputs =="
+  # The repository benchmark folds every simulated output of a run into one
+  # digest; a short fixed-seed run of the attach and multinode workloads
+  # must reproduce the recorded one. insitu stays out: its digest folds in
+  # the engine's event count, which is host bookkeeping. A change that
+  # means to move the model regenerates the golden the same way.
+  for w in attach multinode; do
+    python3 perfbench/run.py --workload "$w" --seed 7 --seconds 1 --trace 0 \
+      2>/dev/null | grep 'digest of simulated outputs'
+  done > build/perfbench_digests.txt
+  if ! diff -u bench/golden/perfbench_digests.txt build/perfbench_digests.txt; then
+    echo "golden: perfbench digests differ from bench/golden/" >&2
     exit 1
   fi
 

@@ -48,19 +48,6 @@ class ChannelEndpoint {
   u64 bytes_{0};
 };
 
-/// Zero-cost channel from an enclave to itself: send() puts the message
-/// straight into this endpoint's own inbox. A sharded kernel routes a
-/// replica host's own registry requests through it, so they reach the
-/// local replica without crossing to the hub and back (DESIGN.md §6c).
-class LoopbackEndpoint final : public ChannelEndpoint {
- public:
-  sim::Task<void> send(Message msg) override {
-    account(msg);
-    inbox_.send(std::move(msg));
-    co_return;
-  }
-};
-
 /// Both ends of one channel; factories return this.
 struct ChannelPair {
   std::unique_ptr<ChannelEndpoint> a;

@@ -63,9 +63,23 @@ bool XememKernel::is_shard_client_cmd(Cmd c) {
   }
 }
 
+bool XememKernel::is_segid_cmd(Cmd c) {
+  switch (c) {
+    case Cmd::get:
+    case Cmd::attach:
+    case Cmd::detach:
+    case Cmd::release:
+    case Cmd::cap_derive:
+    case Cmd::cap_revoke:
+      return true;
+    default:
+      return false;
+  }
+}
+
 // Capability-protocol commands served by the segment's owner enclave; they
-// route exactly like get/attach (name server or home shard resolves the
-// owner, then forwards).
+// route exactly like get/attach (the home shard resolves the owner, then
+// forwards).
 bool XememKernel::is_cap_cmd(Cmd c) {
   return c == Cmd::cap_derive || c == Cmd::cap_revoke;
 }
@@ -127,25 +141,21 @@ XememKernel::XememKernel(os::Enclave& os, bool is_name_server, KernelConfig cfg)
   const KernelConfig defaults;
   if (cfg_.request_timeout == 0) cfg_.request_timeout = defaults.request_timeout;
   if (cfg_.ping_timeout == 0) cfg_.ping_timeout = defaults.ping_timeout;
-  if (!cfg_.ns_shards.empty()) {
-    if (cfg_.quorum_timeout == 0) cfg_.quorum_timeout = cfg_.request_timeout;
-    if (cfg_.partition_grace == 0) {
-      cfg_.partition_grace =
-          std::max<sim::Duration>(cfg_.lease_duration, 2 * cfg_.request_timeout);
-    }
-    if (cfg_.shard_probe_period == 0) {
-      cfg_.shard_probe_period =
-          cfg_.lease_duration > 0 ? heartbeat_period() : 10'000'000ull;  // 10 ms
-    }
-    if (cfg_.shard_probe_misses == 0) cfg_.shard_probe_misses = 1;
-    for (const auto& group : cfg_.ns_shards) {
-      XEMEM_ASSERT_MSG(!group.empty(), "empty shard replica group");
-      for (u64 e : group) {
-        XEMEM_ASSERT_MSG(e != 0, "enclave 0 (root) cannot host a shard");
-      }
-    }
-    shard_epoch_.assign(cfg_.ns_shards.size(), 1);
+  // The paper's central name server is one shard hosted by the hub alone.
+  if (cfg_.ns_shards.empty()) cfg_.ns_shards = {{0}};
+  if (cfg_.partition_grace == 0) {
+    cfg_.partition_grace =
+        std::max<sim::Duration>(cfg_.lease_duration, 2 * cfg_.request_timeout);
   }
+  if (cfg_.shard_probe_period == 0) {
+    cfg_.shard_probe_period =
+        cfg_.lease_duration > 0 ? heartbeat_period() : 10'000'000ull;  // 10 ms
+  }
+  if (cfg_.shard_probe_misses == 0) cfg_.shard_probe_misses = 1;
+  for (const auto& group : cfg_.ns_shards) {
+    XEMEM_ASSERT_MSG(!group.empty(), "empty shard replica group");
+  }
+  shard_epoch_.assign(cfg_.ns_shards.size(), 1);
 }
 
 void XememKernel::add_channel(ChannelEndpoint* ep) {
@@ -170,19 +180,29 @@ void XememKernel::start() {
     // Liveness machinery is opt-in (KernelConfig::lease_duration): these
     // actors run for the kernel's whole lifetime, so enabling them makes
     // Engine::run_until_idle() unsuitable for the enclosing experiment.
-    eng->spawn(is_ns_ ? lease_reaper() : heartbeat_actor());
+    eng->spawn(heartbeat_actor());
   }
-  if (sharding_enabled()) {
-    eng->spawn(service_loop(&self_channel_));
+  // The hub knows its id now, so it serves its replicas from the first
+  // command on; every other kernel hosts its replicas once registered.
+  if (is_ns_) {
+    host_replicas();
+  } else {
     eng->spawn(shard_bootstrap_actor());
-    eng->spawn(hello_actor());
+  }
+  // Peers learn direct routes only when some replica lives off the hub:
+  // registry traffic to it then need not detour through the hub.
+  for (const auto& group : cfg_.ns_shards) {
+    if (std::any_of(group.begin(), group.end(), [](u64 e) { return e != 0; })) {
+      eng->spawn(hello_actor());
+      break;
+    }
   }
 }
 
 void XememKernel::crash() {
-  // A name-server crash is a defined failure mode (DESIGN.md §6b):
-  // NS-bound requests fail with no_name_server once discovery exhausts its
-  // probe rounds. Only a sharded registry (§6c) outlives its host.
+  // A registry host's crash is a defined failure mode (DESIGN.md §6b):
+  // requests fail with no_name_server once discovery exhausts its probe
+  // rounds. Only a shard replicated on several enclaves outlives a host.
   if (crashed_) return;
   crashed_ = true;
   stopped_ = true;
@@ -211,8 +231,6 @@ void XememKernel::crash() {
   cap_maps_.clear();
   revoked_caps_.clear();
   revoked_handles_.clear();
-  // A dying name server takes its registry with it.
-  ns_registry_.clear();
   XLOG_WARN("xemem", "%s: enclave crashed (abrupt)", os_.name().c_str());
 }
 
@@ -230,19 +248,15 @@ sim::Task<Result<void>> XememKernel::shutdown() {
   for (u64 sid : sids) {
     Message req;
     req.cmd = Cmd::segid_remove;
-    req.dst = EnclaveId{0};
     req.segid = Segid{sid};
-    if (sharding_enabled()) {
-      req.shard = shard_of_segid(req.segid,
-                                 static_cast<u32>(cfg_.ns_shards.size()));
-      req.shard_epoch = shard_believed_epoch(req.shard);
-    }
+    req.shard = shard_of_segid(req.segid, static_cast<u32>(cfg_.ns_shards.size()));
+    req.shard_epoch = shard_believed_epoch(req.shard);
     auto resp = co_await request(std::move(req));
     if (!resp.ok()) co_return resp.error();
     exports_.erase(sid);
   }
-  // Tell the name server to retire this enclave (one-way; also retires any
-  // segids registered but not locally tracked).
+  // Tell the hub to retire this enclave (one-way; the registry replicas it
+  // hosts also retire any segids registered but not locally tracked).
   Message bye;
   bye.cmd = Cmd::enclave_shutdown;
   bye.dst = EnclaveId{0};
@@ -335,33 +349,24 @@ sim::Task<void> XememKernel::discovery() {
   discovering_ = false;
 }
 
-// Lease renewal: while the enclave lives, the name server hears from it at
-// least every heartbeat_period() (lease_duration / 3), so a healthy
-// enclave is never garbage-collected even when it is otherwise idle.
+// Lease renewal: while the enclave lives, every registry replica hears
+// from it at least every heartbeat_period() (lease_duration / 3), so a
+// healthy enclave is never garbage-collected even when it is otherwise
+// idle. The hub renews like every other kernel.
 sim::Task<void> XememKernel::heartbeat_actor() {
   co_await registered_.wait();
   while (!stopped_ && !crashed_) {
-    Message hb;
-    hb.cmd = Cmd::heartbeat;
-    hb.dst = EnclaveId{0};
-    hb.src = id();
-    hb.req_id = g_req_counter++;
-    ChannelEndpoint* via = route_for(hb.dst);
-    if (via != nullptr) {
-      ++stats_.heartbeats_sent;
-      co_await via->send(std::move(hb));  // one-way
-    }
-    // Sharded registry: leases live on the shard replicas, so the renewal
-    // reaches every replica of every shard (not just a primary — followers
-    // must not garbage-collect an idle owner after an election just
-    // because the renewal raced the epoch bump). One message per peer
-    // enclave per tick, listing in the payload every additional shard that
-    // peer hosts a replica of. Ordered map: deterministic send order.
+    // Leases live on the shard replicas, so the renewal reaches every
+    // replica of every shard (not just a primary — followers must not
+    // garbage-collect an idle owner after an election just because the
+    // renewal raced the epoch bump). One message per peer enclave per
+    // tick, listing in the payload every additional shard that peer hosts
+    // a replica of; a replica hosted here renews in place, with no message
+    // and no service-core charge. Ordered map: deterministic send order.
     std::map<u64, std::vector<u64>> by_peer;
     for (u32 s = 0; s < cfg_.ns_shards.size(); ++s) {
       for (u64 peer : cfg_.ns_shards[s]) {
         if (peer == id().value()) {
-          // We host this replica ourselves: renew in place.
           auto it = shard_replicas_.find(s);
           if (it != shard_replicas_.end()) {
             it->second->registry.renew(id(), sim::now() + cfg_.lease_duration);
@@ -391,29 +396,6 @@ sim::Task<void> XememKernel::heartbeat_actor() {
   }
 }
 
-// Name-server sweep: expire leases even when no traffic arrives (the lazy
-// sweep in ns_handle covers the common case, but a fully idle system must
-// still collect its dead).
-sim::Task<void> XememKernel::lease_reaper() {
-  while (!stopped_) {
-    co_await sim::delay(heartbeat_period());
-    if (stopped_) co_return;
-    ns_gc_expired_leases();
-  }
-}
-
-void XememKernel::ns_gc_expired_leases() {
-  if (cfg_.lease_duration == 0) return;
-  for (EnclaveId e : ns_registry_.expired(sim::now())) {
-    ns_registry_.erase_owner(e);
-    enclave_map_.erase(e.value());
-    ++stats_.leases_expired;
-    XLOG_WARN("xemem", "name server: lease of enclave %llu expired, "
-              "garbage-collected its segids/names/routes",
-              static_cast<unsigned long long>(e.value()));
-  }
-}
-
 // ---------------------------------------------------------------- plumbing
 
 sim::Task<void> XememKernel::service_loop(ChannelEndpoint* ep) {
@@ -426,10 +408,7 @@ sim::Task<void> XememKernel::service_loop(ChannelEndpoint* ep) {
 ChannelEndpoint* XememKernel::route_for(EnclaveId dst) {
   auto it = enclave_map_.find(dst.value());
   if (it != enclave_map_.end()) return it->second;
-  // A replica host addressing its own replica: deliver in place rather
-  // than bouncing off the hub, which may be dead (DESIGN.md §6c).
-  if (sharding_enabled() && dst.valid() && dst == id()) return &self_channel_;
-  return ns_channel_;  // default route: toward the name server
+  return ns_channel_;  // default route: toward the hub
 }
 
 sim::Task<Result<Message>> XememKernel::request(Message msg) {
@@ -461,12 +440,11 @@ sim::Task<Result<Message>> XememKernel::request(Message msg, ChannelEndpoint* vi
       max_retries < 0 ? cfg_.max_retries : static_cast<u32>(max_retries);
   sim::Duration backoff = cfg_.backoff_base;
 
-  // Sharded registry traffic re-resolves its destination on every attempt:
-  // the believed primary of its shard's current epoch, rotated through the
+  // Registry traffic re-resolves its destination on every attempt: the
+  // believed primary of its shard's current epoch, rotated through the
   // replica group on not_primary bounces and timeouts so a dead or deposed
   // primary cannot absorb the whole retry budget.
-  const bool shard_bound = sharding_enabled() && msg.shard_epoch != 0 &&
-                           is_shard_client_cmd(msg.cmd);
+  const bool shard_bound = msg.shard_epoch != 0 && is_shard_client_cmd(msg.cmd);
   u32 rot = 0;
 
   for (u32 attempt = 0;; ++attempt) {
@@ -477,24 +455,32 @@ sim::Task<Result<Message>> XememKernel::request(Message msg, ChannelEndpoint* vi
       msg.shard_epoch = believed;
       msg.dst = EnclaveId{group[(believed - 1 + rot) % group.size()]};
     }
-    ChannelEndpoint* via = via_in != nullptr ? via_in : route_for(msg.dst);
-    if (via == nullptr) {
-      // NS-bound traffic with the name service terminally lost (discovery
-      // exhausted) fails with the dedicated status so callers can
-      // distinguish "no name server anywhere" from a transient routing
-      // failure.
-      co_return (msg.dst == EnclaveId{0} && ns_lost_) ? Errc::no_name_server
-                                                      : Errc::unreachable;
+    const bool here = shard_bound && msg.dst == id();
+    ChannelEndpoint* via = nullptr;
+    Message resp;
+    if (here) {
+      auto served = co_await serve_here(msg);
+      if (!served.ok()) co_return served;
+      resp = std::move(served).value();
+    } else {
+      via = via_in != nullptr ? via_in : route_for(msg.dst);
+      if (via == nullptr) {
+        // NS-bound traffic with the name service terminally lost (discovery
+        // exhausted) fails with the dedicated status so callers can
+        // distinguish "no name server anywhere" from a transient routing
+        // failure.
+        co_return (msg.dst == EnclaveId{0} && ns_lost_) ? Errc::no_name_server
+                                                        : Errc::unreachable;
+      }
+      sim::Mailbox<Message> mb;
+      pending_resp_[rid] = &mb;
+      sim::Engine::current()->spawn(timeout_actor(this, rid, timeout));
+      Message copy = msg;  // keep the original for retransmission
+      co_await via->send(std::move(copy));
+      resp = co_await mb.recv();
+      pending_resp_.erase(rid);
     }
-
-    sim::Mailbox<Message> mb;
-    pending_resp_[rid] = &mb;
-    sim::Engine::current()->spawn(timeout_actor(this, rid, timeout));
-    Message copy = msg;  // keep the original for retransmission
-    co_await via->send(std::move(copy));
-    Message resp = co_await mb.recv();
-    pending_resp_.erase(rid);
-    if (!(resp.status == Errc::unreachable && resp.cmd == Cmd::ping_ns)) {
+    if (here || !(resp.status == Errc::unreachable && resp.cmd == Cmd::ping_ns)) {
       // A real response (the sentinel has a default-constructed cmd).
       // Retryable shard rejections — the shard epoch moved under us, the
       // replica is inside its partition grace, or we hit a follower — are
@@ -504,14 +490,16 @@ sim::Task<Result<Message>> XememKernel::request(Message msg, ChannelEndpoint* vi
                                            resp.status == Errc::retry_later ||
                                            resp.status == Errc::not_primary);
       if (!retryable || attempt >= retries) {
-        // Remember the id so a late duplicate of this response is counted,
-        // not warned about.
-        completed_reqs_[rid] = 1;
-        completed_log_.emplace_back(rid, sim::now());
-        while (completed_log_.size() > kDedupCacheCap) {
-          completed_reqs_.erase(completed_log_.front().first);
-          completed_log_.pop_front();
-          ++stats_.dedup_evictions;
+        if (!here) {
+          // Remember the id so a late duplicate of this response is
+          // counted, not warned about.
+          completed_reqs_[rid] = 1;
+          completed_log_.emplace_back(rid, sim::now());
+          while (completed_log_.size() > kDedupCacheCap) {
+            completed_reqs_.erase(completed_log_.front().first);
+            completed_log_.pop_front();
+            ++stats_.dedup_evictions;
+          }
         }
         co_return resp;
       }
@@ -561,18 +549,11 @@ sim::Task<Result<Message>> XememKernel::request(Message msg, ChannelEndpoint* vi
 }
 
 sim::Task<Result<Message>> XememKernel::request_to_owner(Message msg) {
-  if (is_ns_ && !sharding_enabled()) {
-    // We *are* the name server: resolve the owner locally instead of
-    // sending to ourselves.
-    const Registry::Record* rec = ns_registry_.find(msg.segid);
-    if (rec == nullptr) co_return Errc::no_such_segid;
-    const EnclaveId owner = rec->owner;
-    co_await os_.service_core()->run_irq(costs::kNameServerOp);
-    msg.dst = owner;
-    XEMEM_ASSERT_MSG(msg.dst != id(),
-                     "self-owned segid must use the local fast path");
-    co_return co_await request(std::move(msg));
-  }
+  const Segid sid = msg.segid;
+  const u32 shard = shard_of_segid(sid, static_cast<u32>(cfg_.ns_shards.size()));
+  // A kernel hosting the home shard's believed primary resolves the owner
+  // in place, so the owner cache would save it nothing.
+  const bool resolves_here = local_primary(shard) != nullptr;
 
   // Fast path: a previous response taught us which enclave owns this
   // segid, so address it directly — intermediate enclaves forward by
@@ -580,9 +561,8 @@ sim::Task<Result<Message>> XememKernel::request_to_owner(Message msg) {
   // lookup. A stale entry must never change outcomes: on transport
   // failure or a no-such-segid answer (removed/crashed owner), drop the
   // entry and fall back once to the authoritative name-server route.
-  const Segid sid = msg.segid;
   auto cached = owner_cache_.find(sid.value());
-  if (cached != owner_cache_.end()) {
+  if (!resolves_here && cached != owner_cache_.end()) {
     Message direct = msg;
     direct.dst = cached->second;
     ++stats_.lookup_cache_hits;
@@ -593,16 +573,13 @@ sim::Task<Result<Message>> XememKernel::request_to_owner(Message msg) {
     drop_owner_cache(sid);
   }
 
-  if (sharding_enabled()) {
-    // Route to the segid's home shard (derivable from the segid itself);
-    // the serving replica forwards to the owner like the classic NS does.
-    msg.shard = shard_of_segid(sid, static_cast<u32>(cfg_.ns_shards.size()));
-    msg.shard_epoch = shard_believed_epoch(msg.shard);
-  } else {
-    msg.dst = EnclaveId{0};
-  }
+  // Route to the segid's home shard (derivable from the segid itself); the
+  // serving replica forwards to the owner.
+  msg.shard = shard;
+  msg.shard_epoch = shard_believed_epoch(shard);
   auto resp = co_await request(std::move(msg));
-  if (cfg_.attach_fast_path && resp.ok() && resp.value().status == Errc::ok) {
+  if (!resolves_here && cfg_.attach_fast_path && resp.ok() &&
+      resp.value().status == Errc::ok) {
     cache_owner(sid, resp.value().src);
   }
   co_return resp;
@@ -689,37 +666,33 @@ sim::Task<void> XememKernel::handle(Message msg, ChannelEndpoint* from) {
     co_return;
   }
 
-  // 3. Name-server-addressed traffic. Under sharding the hub holds no
-  // registry: a shard replica that resolved the hub as a segment's owner
-  // forwards the segid command here, and it is served by step 4.
-  const bool hub_owned = is_ns_ && sharding_enabled() &&
-                         (msg.cmd == Cmd::get || msg.cmd == Cmd::attach ||
-                          msg.cmd == Cmd::detach || msg.cmd == Cmd::release ||
-                          is_cap_cmd(msg.cmd));
-  if (msg.dst == EnclaveId{0} && !hub_owned) {
-    if (is_ns_) {
-      co_await ns_handle(std::move(msg), from);
+  // 3. Traffic addressed to a registry replica this enclave hosts: the
+  // replica-group protocol itself, or a client registry command stamped
+  // with shard fields. A group of one never waits on a peer, so it is
+  // served inline, in arrival order. A larger group is served detached: a
+  // quorum write suspends awaiting acks that can retrace the very channel
+  // it arrived on (hub-relayed replication), so an inline await would
+  // head-of-line block the service loop against itself until the request
+  // timeout. The replica state machine already tolerates the reordering
+  // this allows — hub-relayed delivery reorders anyway.
+  if (msg.dst == id() && (is_shard_service_cmd(msg.cmd) || msg.shard_epoch != 0)) {
+    if (msg.shard < cfg_.ns_shards.size() && cfg_.ns_shards[msg.shard].size() == 1) {
+      co_await shard_handle(std::move(msg), from);
     } else {
-      co_await forward(std::move(msg), from);
+      sim::Engine::current()->spawn(shard_handle(std::move(msg), from));
     }
     co_return;
   }
 
-  // 4a. Sharded name service: traffic addressed to a replica this enclave
-  // hosts — the replica-group protocol itself, or a client registry
-  // command stamped with shard fields. Handled detached: a quorum write
-  // suspends awaiting acks that can retrace the very channel it arrived
-  // on (hub-relayed replication), so an inline await would head-of-line
-  // block the service loop against itself until the quorum timeout. The
-  // replica state machine already tolerates the reordering this allows —
-  // hub-relayed delivery reorders anyway.
-  if (msg.dst == id() && sharding_enabled() &&
-      (is_shard_service_cmd(msg.cmd) || msg.shard_epoch != 0)) {
-    sim::Engine::current()->spawn(shard_handle(std::move(msg), from));
+  // 4. The hub's own duties.
+  if (is_ns_ && msg.dst == id() &&
+      (msg.cmd == Cmd::alloc_enclave_id || msg.cmd == Cmd::enclave_shutdown ||
+       msg.cmd == Cmd::cap_revoked)) {
+    co_await hub_handle(std::move(msg), from);
     co_return;
   }
 
-  // 4. Traffic addressed to this enclave: owner-side servicing. Commands
+  // 5. Traffic addressed to this enclave: owner-side servicing. Commands
   // are idempotent per req_id: a duplicate delivery (channel replay, or a
   // retry whose original did arrive) is answered from the response cache
   // instead of re-executing — re-serving an attach would double-pin
@@ -740,7 +713,7 @@ sim::Task<void> XememKernel::handle(Message msg, ChannelEndpoint* from) {
     co_return;
   }
 
-  // 5. Everything else is in transit.
+  // 6. Everything else is in transit.
   co_await forward(std::move(msg), from);
 }
 
@@ -817,32 +790,25 @@ void XememKernel::prune_pending_fwd() {
   prune_dedup();
 }
 
-// ------------------------------------------------------------- name server
+// --------------------------------------------------------------------- hub
 
-sim::Task<void> XememKernel::ns_handle(Message msg, ChannelEndpoint* from) {
-  XEMEM_ASSERT(is_ns_);
+bool XememKernel::ns_crashpoint() {
   ++stats_.ns_requests;
-  // Deterministic crashpoint hook (tests/bench): die on the N-th
-  // NS-bound command, consuming it before any processing — the sweep
-  // never observes a half-applied registry mutation.
+  // Die on the N-th name-service command, consuming it before any
+  // processing: the sweep never observes a half-applied registry mutation.
   if (crash_after_ns_requests_ != 0 &&
       stats_.ns_requests >= crash_after_ns_requests_) {
     crash();
-    co_return;
+    return true;
   }
+  return false;
+}
+
+sim::Task<void> XememKernel::hub_handle(Message msg, ChannelEndpoint* from) {
+  if (ns_crashpoint()) co_return;
   co_await os_.service_core()->run_irq(costs::kNameServerOp);
 
-  // Liveness bookkeeping: sweep expired leases lazily on every command
-  // (so a retry against a dead owner's segid fails fast with
-  // no_such_segid even between reaper ticks), then renew the sender's.
-  ns_gc_expired_leases();
-  if (cfg_.lease_duration > 0) {
-    ns_registry_.renew(msg.src, sim::now() + cfg_.lease_duration);
-  }
-
-  // Name-server commands are idempotent per req_id, mirroring the
-  // owner-side cache: a retried segid_alloc must not leak a second segid
-  // and a retried alloc_enclave_id must not burn a second ID.
+  // A retried alloc_enclave_id must not burn a second id.
   Message cached;
   if (dedup_hit(msg.req_id, &cached)) {
     ++stats_.dup_suppressed;
@@ -850,71 +816,37 @@ sim::Task<void> XememKernel::ns_handle(Message msg, ChannelEndpoint* from) {
     co_return;
   }
 
-  Message resp;
-  resp.cmd = response_cmd(msg.cmd);
-  resp.req_id = msg.req_id;
-  resp.src = EnclaveId{0};
-  resp.dst = msg.src;
-  resp.status = Errc::ok;
-
-  switch (msg.cmd) {
-    case Cmd::heartbeat:
-      co_return;  // one-way; the renewal above is the whole effect
-    case Cmd::enclave_shutdown:
-      enclave_map_.erase(msg.src.value());
-      ns_registry_.erase_owner(msg.src);
-      co_return;  // one-way
-    case Cmd::alloc_enclave_id: {
-      const u64 fresh = next_enclave_id_++;
-      enclave_map_[fresh] = from;
-      if (cfg_.lease_duration > 0) {
-        ns_registry_.grant(EnclaveId{fresh}, sim::now() + cfg_.lease_duration);
+  if (msg.cmd == Cmd::enclave_shutdown) {
+    // Retire the departing enclave (one-way): its route here, and its
+    // lease and any leftover segids at every shard the hub leads, inline
+    // for a group of one and detached for a larger group, as in handle().
+    enclave_map_.erase(msg.src.value());
+    for (auto& [s, rep] : shard_replicas_) {
+      if (!rep->primary) continue;
+      if (cfg_.ns_shards[s].size() == 1) {
+        co_await shard_retire(rep.get(), msg.src);
+      } else {
+        sim::Engine::current()->spawn(shard_retire(rep.get(), msg.src));
       }
-      resp.dst = EnclaveId{fresh};
-      resp.payload.push_back(fresh);
-      break;
     }
-    case Cmd::segid_alloc:
-      if (!msg.name.empty() && ns_registry_.has_name(msg.name)) {
-        resp.status = Errc::already_exists;
-        break;
-      }
-      resp.segid = Segid{make_segid_value(1, next_segid_++)};
-      ns_registry_.add(resp.segid, msg.src, msg.size, msg.name);
-      break;
-    case Cmd::segid_remove:
-      if (!ns_registry_.erase(msg.segid)) resp.status = Errc::no_such_segid;
-      break;
-    case Cmd::name_lookup:
-      ns_registry_.lookup(msg.name, &resp);
-      co_await from->send(std::move(resp));
-      co_return;
-    case Cmd::name_list:
-      ns_registry_.list(&resp);
-      co_await from->send(std::move(resp));
-      co_return;
-    case Cmd::get:
-    case Cmd::attach:
-    case Cmd::detach:
-    case Cmd::cap_derive:
-    case Cmd::cap_revoke:
-    case Cmd::release:
-      // Forward to the owning enclave (paper section 4.2: "the name
-      // server, which maps segids to enclaves, forwards the command to
-      // the destination enclave which owns the segid").
-      co_await route_to_owner(ns_registry_, std::move(msg), std::move(resp), from);
-      co_return;
-    case Cmd::cap_revoked:
-      // The name server's own enclave held attachments under a revoked
-      // subtree: the owner's fan-out addresses it as dst 0 like every
-      // other NS-bound message. Apply the teardown locally.
-      co_await apply_cap_revoked(std::move(msg));
-      co_return;
-    default:
-      XLOG_WARN("xemem", "name server: unexpected %s", cmd_name(msg.cmd));
-      co_return;
+    co_return;
   }
-  // Allocations and removals: a retry is answered from the dedup cache.
+  if (msg.cmd == Cmd::cap_revoked) {
+    // The hub held attachments under a revoked subtree: the owner's
+    // fan-out addresses it as dst 0. Apply the teardown here.
+    co_await apply_cap_revoked(std::move(msg));
+    co_return;
+  }
+
+  const u64 fresh = next_enclave_id_++;
+  enclave_map_[fresh] = from;
+  Message resp;
+  resp.cmd = Cmd::enclave_id_resp;
+  resp.req_id = msg.req_id;
+  resp.src = id();
+  resp.dst = EnclaveId{fresh};
+  resp.status = Errc::ok;
+  resp.payload.push_back(fresh);
   dedup_store(msg.req_id, resp);
   co_await from->send(std::move(resp));
 }
@@ -1401,7 +1333,6 @@ sim::Task<Result<Capability>> XememKernel::cap_derive(const Capability& parent,
   }
   Message req;
   req.cmd = Cmd::cap_derive;
-  req.dst = EnclaveId{0};
   req.segid = parent.segid;
   req.cap = parent.id;
   encode_cap_rights(rights, holder, &req.payload);
@@ -1430,7 +1361,6 @@ sim::Task<Result<void>> XememKernel::cap_revoke(const Capability& cap) {
   if (revoked_caps_.contains(cap.id)) co_return Result<void>{};  // idempotent
   Message req;
   req.cmd = Cmd::cap_revoke;
-  req.dst = EnclaveId{0};
   req.segid = cap.segid;
   req.cap = cap.id;
   auto resp = co_await request_to_owner(std::move(req));
@@ -1682,31 +1612,19 @@ sim::Task<Result<Segid>> XememKernel::xpmem_make(os::Process& owner, Vaddr va,
   if ((va.value() & kPageMask) != 0 || size == 0) co_return Errc::invalid_argument;
   const u64 pages = pages_for(size);
 
-  Segid sid{};
-  if (is_ns_ && !sharding_enabled()) {
-    co_await os_.service_core()->run_irq(costs::kNameServerOp);
-    if (!name.empty() && ns_registry_.has_name(name)) co_return Errc::already_exists;
-    sid = Segid{make_segid_value(1, next_segid_++)};
-    ns_registry_.add(sid, id(), size, name);
-  } else {
-    Message req;
-    req.cmd = Cmd::segid_alloc;
-    req.dst = EnclaveId{0};
-    req.size = size;
-    req.name = name;
-    if (sharding_enabled()) {
-      // Named exports hash to their home shard (search must agree);
-      // anonymous ones round-robin so registration load spreads.
-      const auto S = static_cast<u32>(cfg_.ns_shards.size());
-      req.shard = name.empty() ? static_cast<u32>(shard_rr_++ % S)
-                               : shard_of_name(name, S);
-      req.shard_epoch = shard_believed_epoch(req.shard);
-    }
-    auto resp = co_await request(std::move(req));
-    if (!resp.ok()) co_return resp.error();
-    if (resp.value().status != Errc::ok) co_return resp.value().status;
-    sid = resp.value().segid;
-  }
+  Message req;
+  req.cmd = Cmd::segid_alloc;
+  req.size = size;
+  req.name = name;
+  // Named exports hash to their home shard (search must agree); anonymous
+  // ones round-robin so registration load spreads.
+  const auto S = static_cast<u32>(cfg_.ns_shards.size());
+  req.shard = name.empty() ? static_cast<u32>(shard_rr_++ % S) : shard_of_name(name, S);
+  req.shard_epoch = shard_believed_epoch(req.shard);
+  auto resp = co_await request(std::move(req));
+  if (!resp.ok()) co_return resp.error();
+  if (resp.value().status != Errc::ok) co_return resp.value().status;
+  const Segid sid = resp.value().segid;
   exports_.emplace(sid.value(),
                    ExportRecord{&owner, va, pages, std::move(name), max_access});
   ++stats_.makes;
@@ -1737,27 +1655,19 @@ sim::Task<Result<void>> XememKernel::xpmem_remove(os::Process& owner, Segid segi
   // (it would pin frames on an export about to be erased).
   it->second.removing = true;
 
-  if (is_ns_ && !sharding_enabled()) {
-    co_await os_.service_core()->run_irq(costs::kNameServerOp);
-    ns_registry_.erase(segid);
-  } else {
-    Message req;
-    req.cmd = Cmd::segid_remove;
-    req.dst = EnclaveId{0};
-    req.segid = segid;
-    if (sharding_enabled()) {
-      req.shard = shard_of_segid(segid, static_cast<u32>(cfg_.ns_shards.size()));
-      req.shard_epoch = shard_believed_epoch(req.shard);
-    }
-    auto resp = co_await request(std::move(req));
-    if (!resp.ok()) {
-      it->second.removing = false;
-      co_return resp.error();
-    }
-    if (resp.value().status != Errc::ok) {
-      it->second.removing = false;
-      co_return resp.value().status;
-    }
+  Message req;
+  req.cmd = Cmd::segid_remove;
+  req.segid = segid;
+  req.shard = shard_of_segid(segid, static_cast<u32>(cfg_.ns_shards.size()));
+  req.shard_epoch = shard_believed_epoch(req.shard);
+  auto resp = co_await request(std::move(req));
+  if (!resp.ok()) {
+    it->second.removing = false;
+    co_return resp.error();
+  }
+  if (resp.value().status != Errc::ok) {
+    it->second.removing = false;
+    co_return resp.value().status;
   }
   exports_.erase(it);
   // The export is gone: memoized walks for it must never serve again (a
@@ -1793,7 +1703,6 @@ sim::Task<Result<XpmemGrant>> XememKernel::xpmem_get(Segid segid, AccessMode wan
   }
   Message req;
   req.cmd = Cmd::get;
-  req.dst = EnclaveId{0};
   req.segid = segid;
   req.access = static_cast<u8>(want);
   auto resp = co_await request_to_owner(std::move(req));
@@ -1822,7 +1731,6 @@ sim::Task<Result<XpmemGrant>> XememKernel::xpmem_get(const Capability& cap,
   }
   Message req;
   req.cmd = Cmd::get;
-  req.dst = EnclaveId{0};
   req.segid = cap.segid;
   req.access = static_cast<u8>(want);
   req.cap = cap.id;
@@ -1843,12 +1751,16 @@ sim::Task<Result<void>> XememKernel::xpmem_release(const XpmemGrant& grant) {
   }
   Message req;
   req.cmd = Cmd::release;
-  req.dst = EnclaveId{0};
   req.segid = grant.segid;
   req.src = id();
   req.req_id = g_req_counter++;
-  if (is_ns_ && !sharding_enabled()) {
-    const Registry::Record* rec = ns_registry_.find(grant.segid);
+  const u32 shard =
+      shard_of_segid(grant.segid, static_cast<u32>(cfg_.ns_shards.size()));
+  if (ShardReplica* rep = local_primary(shard)) {
+    // The home shard's believed primary is local: address the owner
+    // straight from its registry. Like an owner-cache hit, this only
+    // picks a destination, so no registry op is charged.
+    const Registry::Record* rec = rep->registry.find(grant.segid);
     if (rec == nullptr) co_return Errc::no_such_segid;
     req.dst = rec->owner;
   } else if (auto oc = owner_cache_.find(grant.segid.value());
@@ -1857,15 +1769,14 @@ sim::Task<Result<void>> XememKernel::xpmem_release(const XpmemGrant& grant) {
     // the owner instead of bouncing off the name server.
     req.dst = oc->second;
     ++stats_.lookup_cache_hits;
-  } else if (sharding_enabled()) {
+  } else {
     // One-way and best-effort: aim at the believed primary of the segid's
     // home shard, which forwards to the owner. A missed grant decrement is
     // tolerable (releases are advisory; remove still fails busy only on
     // attachments).
-    const auto S = static_cast<u32>(cfg_.ns_shards.size());
-    req.shard = shard_of_segid(grant.segid, S);
-    req.shard_epoch = shard_believed_epoch(req.shard);
-    const auto& group = cfg_.ns_shards[req.shard];
+    req.shard = shard;
+    req.shard_epoch = shard_believed_epoch(shard);
+    const auto& group = cfg_.ns_shards[shard];
     req.dst = EnclaveId{group[(req.shard_epoch - 1) % group.size()]};
   }
   ChannelEndpoint* via = route_for(req.dst);
@@ -1986,7 +1897,6 @@ sim::Task<Result<XpmemAttachment>> XememKernel::xpmem_attach(os::Process& attach
   // Remote path: route the attach through the name server to the owner.
   Message req;
   req.cmd = Cmd::attach;
-  req.dst = EnclaveId{0};
   req.segid = grant.segid;
   req.offset = page_off;
   req.size = pages * kPageSize;
@@ -2096,7 +2006,6 @@ sim::Task<Result<void>> XememKernel::xpmem_detach(os::Process& attacher,
 
   Message req;
   req.cmd = Cmd::detach;
-  req.dst = EnclaveId{0};
   req.segid = att.segid;
   req.offset = att.owner_handle;
   auto resp = co_await request_to_owner(std::move(req));
@@ -2130,63 +2039,42 @@ std::vector<std::pair<std::string, Segid>> decode_name_list(const Message& m) {
 
 sim::Task<Result<std::vector<std::pair<std::string, Segid>>>>
 XememKernel::xpmem_list() {
-  if (is_ns_ && !sharding_enabled()) {
-    co_await os_.service_core()->run_irq(costs::kNameServerOp);
-    Message listed;
-    ns_registry_.list(&listed);
-    co_return decode_name_list(listed);
+  // The registry is partitioned: enumerate every shard and merge.
+  std::vector<std::pair<std::string, Segid>> out;
+  for (u32 s = 0; s < cfg_.ns_shards.size(); ++s) {
+    Message req;
+    req.cmd = Cmd::name_list;
+    req.shard = s;
+    req.shard_epoch = shard_believed_epoch(s);
+    auto resp = co_await request(std::move(req));
+    if (!resp.ok()) co_return resp.error();
+    if (resp.value().status != Errc::ok) co_return resp.value().status;
+    for (auto& p : decode_name_list(resp.value())) out.push_back(std::move(p));
   }
-  if (sharding_enabled()) {
-    // The registry is partitioned: enumerate every shard and merge.
-    std::vector<std::pair<std::string, Segid>> out;
-    for (u32 s = 0; s < cfg_.ns_shards.size(); ++s) {
-      Message req;
-      req.cmd = Cmd::name_list;
-      req.shard = s;
-      req.shard_epoch = shard_believed_epoch(s);
-      auto resp = co_await request(std::move(req));
-      if (!resp.ok()) co_return resp.error();
-      if (resp.value().status != Errc::ok) co_return resp.value().status;
-      for (auto& p : decode_name_list(resp.value())) out.push_back(std::move(p));
-    }
-    co_return out;
-  }
-  Message req;
-  req.cmd = Cmd::name_list;
-  req.dst = EnclaveId{0};
-  auto resp = co_await request(std::move(req));
-  if (!resp.ok()) co_return resp.error();
-  if (resp.value().status != Errc::ok) co_return resp.value().status;
-  co_return decode_name_list(resp.value());
+  co_return out;
 }
 
 sim::Task<Result<Segid>> XememKernel::xpmem_search(const std::string& name) {
-  if (is_ns_ && !sharding_enabled()) {
-    co_await os_.service_core()->run_irq(costs::kNameServerOp);
-    Message found;
-    ns_registry_.lookup(name, &found);
-    if (found.status != Errc::ok) co_return found.status;
-    co_return found.segid;
-  }
   Message req;
   req.cmd = Cmd::name_lookup;
-  req.dst = EnclaveId{0};
   req.name = name;
-  if (sharding_enabled()) {
-    req.shard = shard_of_name(name, static_cast<u32>(cfg_.ns_shards.size()));
-    req.shard_epoch = shard_believed_epoch(req.shard);
-  }
+  req.shard = shard_of_name(name, static_cast<u32>(cfg_.ns_shards.size()));
+  req.shard_epoch = shard_believed_epoch(req.shard);
   auto resp = co_await request(std::move(req));
   if (!resp.ok()) co_return resp.error();
   if (resp.value().status != Errc::ok) co_return resp.value().status;
   co_return resp.value().segid;
 }
 
-// ---------------------------------------- sharded name service (DESIGN §6c)
+// --------------------------------------------- name service (DESIGN §6b)
 
 sim::Task<void> XememKernel::shard_bootstrap_actor() {
   co_await registered_.wait();
   if (crashed_ || stopped_ || !id().valid()) co_return;
+  host_replicas();
+}
+
+void XememKernel::host_replicas() {
   auto* eng = sim::Engine::current();
   for (u32 s = 0; s < cfg_.ns_shards.size(); ++s) {
     const auto& group = cfg_.ns_shards[s];
@@ -2201,7 +2089,8 @@ sim::Task<void> XememKernel::shard_bootstrap_actor() {
         if (peer != id().value()) rep->peer_contact[peer] = sim::now();
       }
       shard_replicas_.emplace(s, std::move(rep));
-      eng->spawn(shard_probe_actor(s));
+      // A group of one has no primary to probe and never elects.
+      if (group.size() > 1) eng->spawn(shard_probe_actor(s));
       if (cfg_.lease_duration > 0) eng->spawn(shard_lease_reaper(s));
     }
   }
@@ -2228,29 +2117,15 @@ sim::Task<void> XememKernel::shard_handle(Message msg, ChannelEndpoint* from) {
     // enclave that hosts no replica of this shard. Retryable — the client
     // rotates and eventually reaches a member carrying the real epoch.
     if (msg.is_one_way()) co_return;
-    Message rej;
-    rej.cmd = response_cmd(msg.cmd);
-    rej.req_id = msg.req_id;
-    rej.src = id();
-    rej.dst = msg.src;
-    rej.shard = msg.shard;
-    rej.shard_epoch = shard_believed_epoch(msg.shard);
+    Message rej = shard_reply(msg, shard_believed_epoch(msg.shard));
     rej.status = Errc::retry_later;
     co_await from->send(std::move(rej));
     co_return;
   }
   ShardReplica* rep = repit->second.get();
-  ++stats_.shard_requests;
-  // Deterministic crashpoint hook: die on the N-th shard-service command,
-  // consuming it before any processing (the sweep never observes a
-  // half-applied mutation).
-  if (crash_after_shard_requests_ != 0 &&
-      stats_.shard_requests >= crash_after_shard_requests_) {
-    crash();
-    co_return;
-  }
+  if (ns_crashpoint()) co_return;
   co_await os_.service_core()->run_irq(costs::kNameServerOp);
-  if (crashed_ || stopped_) co_return;
+  if (crashed_) co_return;
 
   const auto& group = cfg_.ns_shards[msg.shard];
   if (msg.src.valid() &&
@@ -2258,14 +2133,7 @@ sim::Task<void> XememKernel::shard_handle(Message msg, ChannelEndpoint* from) {
     rep->peer_contact[msg.src.value()] = sim::now();
   }
 
-  Message resp;
-  resp.cmd = response_cmd(msg.cmd);
-  resp.req_id = msg.req_id;
-  resp.src = id();
-  resp.dst = msg.src;
-  resp.shard = msg.shard;
-  resp.shard_epoch = rep->epoch;
-  resp.status = Errc::ok;
+  Message resp = shard_reply(msg, rep->epoch);
 
   // ----- Replica-group protocol.
 
@@ -2376,13 +2244,36 @@ sim::Task<void> XememKernel::shard_handle(Message msg, ChannelEndpoint* from) {
 
   // ----- Client registry commands.
 
-  if (msg.cmd == Cmd::heartbeat) {
-    // Lease renewal is epoch-agnostic and renew-only: an idle-but-alive
-    // owner must never be garbage-collected because its renewal raced an
-    // election it had not heard about.
-    if (cfg_.lease_duration > 0 && msg.src.valid()) {
-      const sim::TimePoint expiry = sim::now() + cfg_.lease_duration;
-      rep->registry.renew(msg.src, expiry);
+  if (shard_leases_due(*rep)) co_await shard_sweep_leases(rep);
+  if (crashed_) co_return;
+  if (!shard_admit(rep, msg, &resp, /*in_place=*/false)) {
+    if (!msg.is_one_way()) co_await from->send(std::move(resp));
+    co_return;
+  }
+  if (is_segid_cmd(msg.cmd)) {
+    // Segid-keyed commands resolve the owner here and forward (the
+    // response retraces through the pending_fwd_ table).
+    co_await route_to_owner(rep->registry, std::move(msg), std::move(resp), from);
+    co_return;
+  }
+  co_await shard_registry_op(rep, msg, &resp, /*in_place=*/false);
+  if (crashed_) co_return;
+  co_await from->send(std::move(resp));
+}
+
+bool XememKernel::shard_admit(ShardReplica* rep, const Message& msg,
+                              Message* resp, bool in_place) {
+  // Liveness bookkeeping: the caller swept expired leases first (so a
+  // retry against a dead owner's segid fails fast with no_such_segid, and
+  // a renewal arriving at the expiry instant finds the lease already
+  // collected); now renew the sender's. Renewal is epoch-agnostic and
+  // renew-only: an idle-but-alive owner must never be garbage-collected
+  // because its renewal raced an election it had not heard about, and a
+  // collected owner is not resurrected by stale traffic.
+  if (cfg_.lease_duration > 0 && msg.src.valid()) {
+    const sim::TimePoint expiry = sim::now() + cfg_.lease_duration;
+    rep->registry.renew(msg.src, expiry);
+    if (msg.cmd == Cmd::heartbeat) {
       // The payload lists every additional shard we host whose renewal
       // the sender coalesced into this one message.
       for (u64 s : msg.payload) {
@@ -2392,180 +2283,218 @@ sim::Task<void> XememKernel::shard_handle(Message msg, ChannelEndpoint* from) {
         }
       }
     }
-    co_return;  // one-way
   }
+  if (msg.cmd == Cmd::heartbeat) return false;  // one-way: renewal only
 
   if (msg.shard_epoch < rep->epoch) {
     ++stats_.epoch_rejects;
-    if (msg.is_one_way()) co_return;
-    resp.status = Errc::stale_epoch;
-    co_await from->send(std::move(resp));
-    co_return;
+    resp->status = Errc::stale_epoch;
+    return false;
   }
   if (msg.shard_epoch > rep->epoch) {
     // The client is ahead of us: an election we have not heard of. Never
     // serve from a view we know is behind.
-    if (msg.is_one_way()) co_return;
-    resp.status = Errc::retry_later;
-    co_await from->send(std::move(resp));
-    co_return;
+    resp->status = Errc::retry_later;
+    return false;
   }
-
-  Message cached;
-  if (dedup_hit(msg.req_id, &cached)) {
+  if (!in_place && dedup_hit(msg.req_id, resp)) {
     ++stats_.dup_suppressed;
-    if (!msg.is_one_way()) co_await from->send(std::move(cached));
-    co_return;
+    return false;
   }
-
   const bool is_write =
       msg.cmd == Cmd::segid_alloc || msg.cmd == Cmd::segid_remove;
   if (is_write && !rep->primary) {
     ++stats_.not_primary_rejects;
-    resp.status = Errc::not_primary;
-    co_await from->send(std::move(resp));
-    co_return;
+    resp->status = Errc::not_primary;
+    return false;
   }
-
   if (!shard_is_fresh(*rep)) {
     // Minority side of a partition (or an isolated replica): answer
     // retry_later inside the grace window, terminal no_quorum after it.
-    if (msg.cmd == Cmd::release) co_return;  // one-way: drop
-    resp.status = shard_unavailable_status(rep);
-    if (resp.status == Errc::no_quorum) ++stats_.no_quorum_rejects;
-    co_await from->send(std::move(resp));
-    co_return;
+    if (msg.is_one_way()) return false;  // release: drop
+    resp->status = shard_unavailable_status(rep);
+    if (resp->status == Errc::no_quorum) ++stats_.no_quorum_rejects;
+    return false;
   }
+  return true;
+}
 
+sim::Task<void> XememKernel::shard_registry_op(ShardReplica* rep,
+                                               const Message& msg,
+                                               Message* resp, bool in_place) {
   switch (msg.cmd) {
-    case Cmd::segid_alloc: {
-      if (!msg.name.empty() && rep->registry.has_name(msg.name)) {
-        resp.status = Errc::already_exists;
-        dedup_store(msg.req_id, resp);
-        co_await from->send(std::move(resp));
-        co_return;
-      }
-      // The minting shard issues sequence numbers congruent to itself
-      // (mod the shard count) so shard_of_segid routes segid-keyed
-      // commands home without a directory; the epoch prefix keeps segids
-      // unique across elections (seq restarts per epoch).
-      const auto S = static_cast<u64>(cfg_.ns_shards.size());
-      ShardOp op;
-      op.kind = ShardOp::Kind::alloc;
-      op.epoch = rep->epoch;
-      op.segid = make_segid_value(rep->epoch, rep->next_seq * S + rep->shard);
-      op.size = msg.size;
-      op.owner = msg.src.value();
-      op.name = msg.name;
-      ++rep->next_seq;
-      auto committed = co_await shard_quorum_commit(rep, op);
-      if (crashed_ || stopped_) co_return;
-      resp.shard_epoch = rep->epoch;
-      if (!committed.ok()) {
-        // Never dedup-stored: the client's retry must re-execute against
-        // whichever primary survives.
-        resp.status = committed.error();
-        if (resp.status == Errc::no_quorum) ++stats_.no_quorum_rejects;
-        co_await from->send(std::move(resp));
-        co_return;
-      }
-      resp.segid = Segid{op.segid};
-      dedup_store(msg.req_id, resp);
-      co_await from->send(std::move(resp));
-      co_return;
-    }
+    case Cmd::segid_alloc:
     case Cmd::segid_remove: {
-      const Registry::Record* rec = rep->registry.find(msg.segid);
-      if (rec == nullptr) {
-        // Authoritative: this replica is fresh and the quorum-intersection
-        // property makes its committed view complete.
-        resp.status = Errc::no_such_segid;
-        dedup_store(msg.req_id, resp);
-        co_await from->send(std::move(resp));
-        co_return;
-      }
       ShardOp op;
-      op.kind = ShardOp::Kind::remove;
       op.epoch = rep->epoch;
-      op.segid = msg.segid.value();
-      op.size = rec->size;
-      op.owner = rec->owner.value();
-      op.name = rec->name;
-      auto committed = co_await shard_quorum_commit(rep, op);
-      if (crashed_ || stopped_) co_return;
-      resp.shard_epoch = rep->epoch;
-      if (!committed.ok()) {
-        resp.status = committed.error();
-        if (resp.status == Errc::no_quorum) ++stats_.no_quorum_rejects;
-        co_await from->send(std::move(resp));
-        co_return;
+      if (msg.cmd == Cmd::segid_alloc) {
+        op.kind = ShardOp::Kind::alloc;
+        op.size = msg.size;
+        op.owner = msg.src.value();
+        op.name = msg.name;
+      } else {
+        const Registry::Record* rec = rep->registry.find(msg.segid);
+        if (rec == nullptr) {
+          // Authoritative: this replica is fresh and the quorum-intersection
+          // property makes its committed view complete.
+          resp->status = Errc::no_such_segid;
+          break;
+        }
+        op.kind = ShardOp::Kind::remove;
+        op.segid = msg.segid.value();
+        op.size = rec->size;
+        op.owner = rec->owner.value();
+        op.name = rec->name;
       }
-      dedup_store(msg.req_id, resp);
-      co_await from->send(std::move(resp));
-      co_return;
+      auto committed = co_await shard_quorum_commit(rep, &op);
+      resp->shard_epoch = rep->epoch;
+      if (!committed.ok()) {
+        resp->status = committed.error();
+        // A failed write is never dedup-stored: the client's retry must
+        // re-execute against whichever primary survives.
+        if (resp->status != Errc::already_exists) {
+          if (resp->status == Errc::no_quorum) ++stats_.no_quorum_rejects;
+          co_return;
+        }
+        break;
+      }
+      if (op.kind == ShardOp::Kind::alloc) resp->segid = Segid{op.segid};
+      break;
     }
     case Cmd::name_lookup:
-      rep->registry.lookup(msg.name, &resp);
-      co_await from->send(std::move(resp));
+      rep->registry.lookup(msg.name, resp);
       co_return;
     case Cmd::name_list:
-      rep->registry.list(&resp);
-      co_await from->send(std::move(resp));
-      co_return;
-    case Cmd::get:
-    case Cmd::attach:
-    case Cmd::detach:
-    case Cmd::cap_derive:
-    case Cmd::cap_revoke:
-    case Cmd::release:
-      // Segid-keyed commands resolve the owner here and forward, exactly
-      // like the classic name server (the response retraces through the
-      // pending_fwd_ table).
-      co_await route_to_owner(rep->registry, std::move(msg), std::move(resp),
-                              from);
+      rep->registry.list(resp);
       co_return;
     default:
       XLOG_WARN("xemem", "%s: shard %u: unexpected %s", os_.name().c_str(),
                 msg.shard, cmd_name(msg.cmd));
+      resp->status = Errc::invalid_argument;
       co_return;
   }
+  // Allocations and removals: a retried command is answered from the
+  // dedup cache. An in-place command is never retransmitted.
+  if (!in_place) dedup_store(msg.req_id, *resp);
+}
+
+Message XememKernel::shard_reply(const Message& msg, u64 epoch) const {
+  Message resp;
+  resp.cmd = response_cmd(msg.cmd);
+  resp.req_id = msg.req_id;
+  resp.src = id();
+  resp.dst = msg.src;
+  resp.shard = msg.shard;
+  resp.shard_epoch = epoch;
+  resp.status = Errc::ok;
+  return resp;
+}
+
+XememKernel::ShardReplica* XememKernel::local_primary(u32 shard) {
+  const auto& group = cfg_.ns_shards[shard];
+  if (group[(shard_believed_epoch(shard) - 1) % group.size()] != id().value()) {
+    return nullptr;
+  }
+  auto it = shard_replicas_.find(shard);
+  return it != shard_replicas_.end() ? it->second.get() : nullptr;
+}
+
+sim::Task<Result<Message>> XememKernel::serve_here(Message msg) {
+  auto it = shard_replicas_.find(msg.shard);
+  if (it == shard_replicas_.end()) {
+    Message rej = shard_reply(msg, msg.shard_epoch);
+    rej.status = Errc::retry_later;  // the replica is not installed yet
+    co_return rej;
+  }
+  ShardReplica* rep = it->second.get();
+  co_await os_.service_core()->run_irq(costs::kNameServerOp);
+  if (crashed_) co_return Errc::unreachable;
+  Message resp = shard_reply(msg, rep->epoch);
+  if (shard_leases_due(*rep)) co_await shard_sweep_leases(rep);
+  if (crashed_) co_return Errc::unreachable;
+  if (!shard_admit(rep, msg, &resp, /*in_place=*/true)) co_return resp;
+  if (is_segid_cmd(msg.cmd)) {
+    const Registry::Record* rec = rep->registry.find(msg.segid);
+    if (rec == nullptr) {
+      resp.status = Errc::no_such_segid;
+      co_return resp;
+    }
+    if (rec->owner == id()) {
+      // Our own segment, yet not a local export any more: the owner-side
+      // dispatch gives the answer a remote requester would get.
+      auto out = co_await serve_owned(msg);
+      if (!out.has_value()) co_return Errc::unreachable;
+      co_return *out;
+    }
+    msg.dst = rec->owner;
+    msg.shard = 0;
+    msg.shard_epoch = 0;  // plain owner traffic from here
+    co_return co_await request(std::move(msg));
+  }
+  co_await shard_registry_op(rep, msg, &resp, /*in_place=*/true);
+  if (crashed_) co_return Errc::unreachable;
+  co_return resp;
 }
 
 sim::Task<Result<void>> XememKernel::shard_quorum_commit(ShardReplica* rep,
-                                                         ShardOp op) {
+                                                         ShardOp* op) {
+  const auto& group = cfg_.ns_shards[rep->shard];
+  // Admission under the write mutex (see below), then the mint. Checking
+  // the name here, not before waiting for the mutex, lets the second of
+  // two concurrent allocs of one name see the first one's commit; a
+  // rejected alloc uses up no sequence number.
+  auto admit = [&]() -> Errc {
+    if (crashed_) return Errc::unreachable;
+    if (!rep->primary || rep->epoch != op->epoch) return Errc::not_primary;
+    if (op->kind != ShardOp::Kind::alloc) return Errc::ok;
+    if (!op->name.empty() && rep->registry.has_name(op->name)) {
+      return Errc::already_exists;
+    }
+    // The minting shard issues sequence numbers congruent to itself (mod
+    // the shard count) so shard_of_segid routes segid-keyed commands home
+    // without a directory; the epoch prefix keeps segids unique across
+    // elections (seq restarts per epoch).
+    op->segid = make_segid_value(
+        rep->epoch, rep->next_seq++ * cfg_.ns_shards.size() + rep->shard);
+    return Errc::ok;
+  };
+  if (group.size() == 1) {
+    // A group of one commits at once: nothing suspends, so no other write
+    // can interleave, and no peer would ever read its log back.
+    const Errc e = admit();
+    if (e != Errc::ok) co_return e;
+    shard_apply(rep, *op);
+    ++stats_.quorum_writes;
+    co_return Result<void>{};
+  }
+
   // One write in flight per shard: the log index appended below must be
   // settled (committed or rolled back) before the next write picks its own.
   co_await rep->write_mutex.lock();
-  if (crashed_ || stopped_) {
+  if (const Errc e = admit(); e != Errc::ok) {
     rep->write_mutex.unlock();
-    co_return Errc::unreachable;
-  }
-  if (!rep->primary || rep->epoch != op.epoch) {
-    rep->write_mutex.unlock();
-    co_return Errc::not_primary;
+    co_return e;
   }
   const u64 index = rep->log.size();
   const u64 epoch = rep->epoch;
   XEMEM_ASSERT_MSG(rep->applied == index,
                    "primary log must be fully applied before a new write");
-  rep->log.push_back(op);
+  rep->log.push_back(*op);
 
-  const auto& group = cfg_.ns_shards[rep->shard];
   auto round = std::make_shared<QuorumRound>();
   round->total = static_cast<u32>(group.size());
   round->majority = round->total / 2 + 1;
-  if (round->acks >= round->majority) round->settled.set();  // group of one
   auto* eng = sim::Engine::current();
   for (u64 peer : group) {
     if (peer == id().value()) continue;
-    eng->spawn(shard_replicate_to(this, rep, peer, index, op, round));
+    eng->spawn(shard_replicate_to(this, rep, peer, index, *op, round));
   }
-  // Each replication attempt is bounded by quorum_timeout, so this wait is
-  // bounded too: a replica crashing mid-replication can delay the round,
-  // never hang it.
+  // Each replication attempt is bounded by request_timeout, so this wait
+  // is bounded too: a replica crashing mid-replication can delay the
+  // round, never hang it.
   co_await round->settled.wait();
 
-  const bool won = round->acks >= round->majority && !crashed_ && !stopped_ &&
+  const bool won = round->acks >= round->majority && !crashed_ &&
                    rep->primary && rep->epoch == epoch;
   if (won) {
     shard_apply(rep, rep->log[index]);
@@ -2579,11 +2508,11 @@ sim::Task<Result<void>> XememKernel::shard_quorum_commit(ShardReplica* rep,
   // Roll the unacknowledged tail back so a failed write leaves no trace —
   // unless an adoption already rewrote the log underneath us.
   if (rep->log.size() == index + 1 && rep->applied <= index &&
-      same_shard_op(rep->log[index], op)) {
+      same_shard_op(rep->log[index], *op)) {
     rep->log.pop_back();
   }
   rep->write_mutex.unlock();
-  if (crashed_ || stopped_) co_return Errc::unreachable;
+  if (crashed_) co_return Errc::unreachable;
   if (!rep->primary || rep->epoch != epoch) co_return Errc::not_primary;
   co_return shard_unavailable_status(rep);
 }
@@ -2600,9 +2529,9 @@ sim::Task<void> XememKernel::shard_replicate_to(
   m.shard_epoch = op.epoch;
   m.offset = index;
   encode_shard_ops({op}, &m);
-  auto resp = co_await k->request(std::move(m), nullptr, k->cfg_.quorum_timeout,
+  auto resp = co_await k->request(std::move(m), nullptr, k->cfg_.request_timeout,
                                   /*max_retries=*/0);
-  if (!k->crashed_ && !k->stopped_ && resp.ok()) {
+  if (!k->crashed_ && resp.ok()) {
     Message& r = resp.value();
     if (r.status == Errc::ok) {
       acked = true;
@@ -2624,8 +2553,8 @@ sim::Task<void> XememKernel::shard_replicate_to(
             rep->log.begin() + static_cast<i64>(index) + 1);
         encode_shard_ops(suffix, &sync);
         auto sr = co_await k->request(std::move(sync), nullptr,
-                                      k->cfg_.quorum_timeout, 0);
-        if (!k->crashed_ && !k->stopped_ && sr.ok()) {
+                                      k->cfg_.request_timeout, 0);
+        if (!k->crashed_ && sr.ok()) {
           if (sr.value().status == Errc::ok) {
             acked = true;
           } else if (sr.value().status == Errc::stale_epoch &&
@@ -2775,7 +2704,7 @@ sim::Task<void> XememKernel::shard_try_promote(u32 shard) {
     vote.dst = EnclaveId{peer};
     vote.shard = shard;
     vote.shard_epoch = e;
-    auto resp = co_await request(std::move(vote), nullptr, cfg_.quorum_timeout,
+    auto resp = co_await request(std::move(vote), nullptr, cfg_.request_timeout,
                                  /*max_retries=*/0);
     if (crashed_ || stopped_) {
       rep->promoting = false;
@@ -2846,6 +2775,9 @@ sim::Task<void> XememKernel::shard_announce_actor(u32 shard, u64 epoch) {
   }
 }
 
+// Expire leases even when no traffic arrives: the lazy sweep before every
+// served command covers the common case, but a fully idle system must
+// still collect its dead.
 sim::Task<void> XememKernel::shard_lease_reaper(u32 shard) {
   auto it = shard_replicas_.find(shard);
   if (it == shard_replicas_.end()) co_return;
@@ -2853,29 +2785,46 @@ sim::Task<void> XememKernel::shard_lease_reaper(u32 shard) {
   for (;;) {
     co_await sim::delay(heartbeat_period());
     if (stopped_ || crashed_) co_return;
-    // Expiry is a replicated decision: only a fresh primary may GC, and it
-    // does so through the log so every replica collects the same enclave
-    // at the same index (a follower's local clocks never GC anything).
-    if (!rep->primary || !shard_is_fresh(*rep)) continue;
-    const std::vector<EnclaveId> dead = rep->registry.expired(sim::now());
-    for (EnclaveId enclave : dead) {
-      if (stopped_ || crashed_ || !rep->primary) break;
-      // Renewed (or already collected) while an earlier commit suspended.
-      if (!rep->registry.lease_expired(enclave, sim::now())) continue;
-      ShardOp op;
-      op.kind = ShardOp::Kind::lease_gc;
-      op.epoch = rep->epoch;
-      op.owner = enclave.value();
-      auto committed = co_await shard_quorum_commit(rep, op);
-      if (committed.ok()) {
-        ++stats_.leases_expired;
-        XLOG_WARN("xemem", "%s: shard %u: lease of enclave %llu expired, "
-                  "garbage-collected via the log",
-                  os_.name().c_str(), shard,
-                  static_cast<unsigned long long>(enclave.value()));
-      }
-    }
+    if (shard_leases_due(*rep)) co_await shard_sweep_leases(rep);
   }
+}
+
+bool XememKernel::shard_leases_due(const ShardReplica& rep) const {
+  // Expiry is a replicated decision: only a fresh primary may GC (a
+  // follower's local clocks never GC anything). One sweep at a time, so
+  // two detached handlers never collect the same enclave twice.
+  return cfg_.lease_duration > 0 && rep.primary && !rep.sweeping &&
+         shard_is_fresh(rep) && !rep.registry.expired(sim::now()).empty();
+}
+
+sim::Task<void> XememKernel::shard_sweep_leases(ShardReplica* rep) {
+  rep->sweeping = true;
+  for (EnclaveId enclave : rep->registry.expired(sim::now())) {
+    if (crashed_ || !rep->primary) break;
+    // Renewed (or already collected) while an earlier commit suspended.
+    if (!rep->registry.lease_expired(enclave, sim::now())) continue;
+    ShardOp op;
+    op.kind = ShardOp::Kind::lease_gc;
+    op.epoch = rep->epoch;
+    op.owner = enclave.value();
+    auto committed = co_await shard_quorum_commit(rep, &op);
+    if (!committed.ok()) continue;
+    enclave_map_.erase(enclave.value());
+    ++stats_.leases_expired;
+    XLOG_WARN("xemem", "%s: shard %u: lease of enclave %llu expired, "
+              "garbage-collected its segids/names/route",
+              os_.name().c_str(), rep->shard,
+              static_cast<unsigned long long>(enclave.value()));
+  }
+  rep->sweeping = false;
+}
+
+sim::Task<void> XememKernel::shard_retire(ShardReplica* rep, EnclaveId owner) {
+  ShardOp op;
+  op.kind = ShardOp::Kind::lease_gc;
+  op.epoch = rep->epoch;
+  op.owner = owner.value();
+  (void)co_await shard_quorum_commit(rep, &op);
 }
 
 void XememKernel::shard_apply(ShardReplica* rep, const ShardOp& op) {
@@ -2912,7 +2861,7 @@ u64 XememKernel::shard_believed_epoch(u32 shard) const {
 }
 
 void XememKernel::maybe_adopt_shard_epoch(const Message& msg) {
-  if (!sharding_enabled() || msg.shard_epoch == 0) return;
+  if (msg.shard_epoch == 0) return;
   if (msg.shard >= shard_epoch_.size()) return;
   if (msg.shard_epoch > shard_epoch_[msg.shard]) {
     shard_epoch_[msg.shard] = msg.shard_epoch;

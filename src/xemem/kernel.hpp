@@ -8,9 +8,10 @@
 //    discovery by broadcast, enclave-ID allocation through the hierarchy,
 //    per-enclave routing tables learned from forwarded responses, and
 //    default routing toward the name server;
-//  * the name server itself (section 3.1) when this enclave hosts it:
+//  * the name server (section 3.1) as replicas of its registry shards:
 //    globally unique segids, segid -> owner-enclave records, and the
-//    well-known-name registry that provides discoverability;
+//    well-known-name registry that provides discoverability. By default
+//    the hub hosts the one shard alone (DESIGN.md §6b);
 //  * export-side attachment servicing: page-table walk via the enclave
 //    personality, frame pinning, PFN-list responses (section 4.2).
 #pragma once
@@ -62,24 +63,20 @@ struct KernelConfig {
   /// disabled; crash recovery then relies solely on request timeouts).
   sim::Duration lease_duration{0};
 
-  // ----- Sharded, quorum-replicated name service (opt-in; DESIGN.md §6c).
-  // The only way the registry outlives the enclave serving it.
+  // ----- Name service: a sharded, replicated registry (DESIGN.md §6b).
 
   /// Replica groups, one per registry shard: ns_shards[s] lists the
   /// enclave ids hosting shard s; ns_shards[s][0] is the boot primary
   /// (epoch 1), and the primary of epoch e is ns_shards[s][(e-1) % size].
-  /// Groups must not contain enclave 0 (the root keeps discovery,
-  /// enclave-id allocation, and routing duties). Empty = classic
-  /// single-registry behavior.
+  /// A group may include the hub (enclave 0). Empty = one shard hosted by
+  /// the hub alone ({{0}}): the paper's central name server. Only a group
+  /// of several replicas outlives the enclave serving it.
   std::vector<std::vector<u64>> ns_shards;
   /// Follower -> primary liveness probe cadence (0 -> lease_duration / 3,
   /// or 10 ms when leases are off).
   sim::Duration shard_probe_period{0};
   /// Consecutive unanswered probes before a follower calls a vote.
   u32 shard_probe_misses{3};
-  /// Per-replica bound on one quorum-write replication attempt, so an
-  /// in-flight write outlives no crashed follower (0 -> request_timeout).
-  sim::Duration quorum_timeout{0};
   /// After losing quorum (or primary contact), replicas answer
   /// Errc::retry_later for this long, then terminal Errc::no_quorum
   /// (0 -> max(lease_duration, 2 * request_timeout)).
@@ -106,8 +103,10 @@ struct KernelConfig {
 
 class XememKernel {
  public:
-  /// @param is_name_server  exactly one kernel per system hosts the name
-  ///                        server (deployable in any enclave; section 3.2)
+  /// @param is_name_server  exactly one kernel per system is the hub
+  ///                        (enclave 0): it allocates enclave ids, roots
+  ///                        discovery (section 3.2) and, by default, hosts
+  ///                        the name service's one shard
   XememKernel(os::Enclave& os, bool is_name_server, KernelConfig cfg = {});
 
   XememKernel(const XememKernel&) = delete;
@@ -137,11 +136,12 @@ class XememKernel {
   sim::Task<Result<void>> shutdown();
   bool is_shutdown() const { return stopped_; }
 
-  /// Stop the kernel's lifetime liveness actors (heartbeat sender / lease
-  /// reaper) without the graceful-shutdown protocol traffic. End-of-run
-  /// teardown for experiments that must drain the engine afterwards
-  /// (Engine::run_until_idle) — with leases enabled those actors
-  /// otherwise reschedule forever and the heap never goes idle.
+  /// Stop the kernel's lifetime liveness actors (heartbeat sender, lease
+  /// reapers, shard probes) without the graceful-shutdown protocol
+  /// traffic. End-of-run teardown for experiments that must drain the
+  /// engine afterwards (Engine::run_until_idle) — with leases enabled
+  /// those actors otherwise reschedule forever and the heap never goes
+  /// idle.
   void quiesce() { stopped_ = true; }
 
   /// Abrupt enclave death: the kernel goes silent mid-protocol without
@@ -151,6 +151,7 @@ class XememKernel {
   /// OS's memory is reclaimed by the node). The name server learns of
   /// the death only through lease expiry (KernelConfig::lease_duration)
   /// and then garbage-collects the enclave's segids, names, and routes.
+  /// The registry replicas this kernel hosts go silent with it.
   void crash();
   bool is_crashed() const { return crashed_; }
 
@@ -248,11 +249,6 @@ class XememKernel {
   /// Forwarded requests still awaiting a response to retrace (each entry
   /// expires after retry_window(); see the orphan-response expiry logic).
   u64 pending_forwards() const { return pending_fwd_.size(); }
-  /// Name-server registry sizes (0 on non-name-server kernels).
-  u64 ns_segid_count() const { return ns_registry_.segid_count(); }
-  u64 ns_name_count() const { return ns_registry_.name_count(); }
-  /// Whether the name server currently holds a live lease for @p e.
-  bool ns_has_lease(EnclaveId e) const { return ns_registry_.has_lease(e); }
   /// Attach fast-path cache occupancy (invalidation tests assert these
   /// drain back to zero after remove/crash/lease expiry).
   u64 owner_cache_entries() const { return owner_cache_.size(); }
@@ -266,15 +262,12 @@ class XememKernel {
   /// partitioned, or the name server died mid-registration).
   bool registration_failed() const { return ns_lost_ && !id().valid(); }
 
-  /// Deterministic crashpoint hook: crash() this (name-server) kernel
-  /// immediately before executing its @p n-th name-server command. The
-  /// crashpoint-sweep harness enumerates every protocol step this way
-  /// (0 disables the hook).
+  /// Deterministic crashpoint hook: crash() this kernel immediately before
+  /// the @p n-th name-service command it serves off a channel (the hub's
+  /// enclave-id, departure and revocation-note duties, and every command
+  /// to a registry replica hosted here, in any role). The crashpoint-sweep
+  /// harnesses enumerate every protocol step this way (0 disables).
   void crash_after_ns_requests(u64 n) { crash_after_ns_requests_ = n; }
-  /// Same hook for shard replicas: crash() immediately before this
-  /// replica's @p n-th shard-service command (any role, any shard hosted
-  /// here). Extends the crashpoint sweep to shard primaries and followers.
-  void crash_after_shard_requests(u64 n) { crash_after_shard_requests_ = n; }
   /// Same hook for the capability protocol: crash() this (owner) kernel
   /// immediately before serving its @p n-th capability-relevant command
   /// (cap_derive/cap_revoke, and get/attach presented with a capability).
@@ -299,10 +292,8 @@ class XememKernel {
   /// Revoked-capability tombstones held attacher-side (bounded).
   u64 revoked_cap_count() const { return revoked_caps_.size(); }
 
-  // ------------------------------------------ shard diagnostics (§6c)
+  // ------------------------------------------ shard diagnostics (§6b)
 
-  /// Whether the sharded name service is configured on this kernel.
-  bool sharding_enabled() const { return !cfg_.ns_shards.empty(); }
   /// Whether this enclave hosts a replica of shard @p s.
   bool hosts_shard(u32 s) const { return shard_replicas_.contains(s); }
   /// Whether this replica currently believes it is shard @p s's primary.
@@ -315,11 +306,14 @@ class XememKernel {
     auto it = shard_replicas_.find(s);
     return it != shard_replicas_.end() ? it->second->epoch : 0;
   }
-  /// Registry view / op-log sizes of the local replica of shard @p s.
-  u64 shard_segid_count(u32 s) const {
+  /// Registry view of the local replica of shard @p s (nullptr if not
+  /// hosted here).
+  const Registry* shard_registry(u32 s) const {
     auto it = shard_replicas_.find(s);
-    return it != shard_replicas_.end() ? it->second->registry.segid_count() : 0;
+    return it != shard_replicas_.end() ? &it->second->registry : nullptr;
   }
+  /// Op-log length of the local replica of shard @p s. A group of one
+  /// commits without a log (nothing would read it back), so it stays 0.
   u64 shard_log_size(u32 s) const {
     auto it = shard_replicas_.find(s);
     return it != shard_replicas_.end() ? it->second->log.size() : 0;
@@ -337,11 +331,11 @@ class XememKernel {
     u64 attaches_issued{0};  ///< attach requests issued as attacher
     u64 pages_shared{0};     ///< pages pinned on behalf of attachers (gross)
     u64 messages_forwarded{0};  ///< routed on behalf of other enclaves
-    u64 ns_requests{0};      ///< commands processed as name server
+    u64 ns_requests{0};      ///< name-service commands served off a channel
     u64 timeouts{0};         ///< request attempts that expired unanswered
     u64 retries{0};          ///< request re-sends after a timeout
     u64 dup_suppressed{0};   ///< duplicate deliveries answered from cache
-    u64 leases_expired{0};   ///< enclaves garbage-collected as name server
+    u64 leases_expired{0};   ///< enclaves garbage-collected as shard primary
     u64 fwd_expired{0};      ///< forwarded requests whose response never came
     u64 local_attaches{0};   ///< same-enclave attaches (local fast path)
     u64 lookup_cache_hits{0};///< requests routed via the segid->owner cache
@@ -351,8 +345,7 @@ class XememKernel {
     u64 wire_bytes_saved{0}; ///< flat-PFN bytes avoided by extent encoding
     u64 epoch_rejects{0};    ///< stale-epoch commands rejected as a replica
     u64 dedup_evictions{0};  ///< dedup-cache entries evicted (cap or TTL)
-    u64 shard_requests{0};   ///< commands processed as a shard replica
-    u64 quorum_writes{0};    ///< shard writes committed with majority acks
+    u64 quorum_writes{0};    ///< shard writes committed (a group of one at once)
     u64 quorum_fails{0};     ///< shard writes that missed their majority
     u64 replications{0};     ///< ops applied from a primary's replicate
     u64 catchups{0};         ///< log-suffix syncs absorbed as a follower
@@ -430,12 +423,12 @@ class XememKernel {
     std::unordered_map<u64, CapNode> nodes;
   };
 
-  // ----------------------------------------- sharded name service (§6c)
+  // --------------------------------------------------- name service (§6b)
 
   /// One entry of a shard's replicated op log. The log is the durable
   /// truth: every replica's registry view is a pure replay of its log
   /// prefix, so follower catch-up and post-election adoption are log
-  /// copies.
+  /// copies. A group of one applies each op at commit and keeps no log.
   struct ShardOp {
     enum class Kind : u8 { alloc = 1, remove = 2, lease_gc = 3 };
     Kind kind{Kind::alloc};
@@ -455,6 +448,7 @@ class XememKernel {
     u64 promised{0};    ///< highest vote proposal promised to
     bool primary{false};
     bool promoting{false};
+    bool sweeping{false};  ///< a lease sweep is in flight
     std::vector<ShardOp> log;
     u64 applied{0};   ///< log prefix materialized into the view below
     u64 next_seq{1};  ///< per-epoch mint counter (segid seq = seq*S + shard)
@@ -485,7 +479,6 @@ class XememKernel {
   sim::Task<void> handle(Message msg, ChannelEndpoint* from);
   sim::Task<void> discovery();
   sim::Task<void> heartbeat_actor();
-  sim::Task<void> lease_reaper();
 
   /// Send a request and await its correlated response, retrying with
   /// exponential backoff on timeout (@p max_retries overrides the config;
@@ -494,7 +487,9 @@ class XememKernel {
   /// overrides route selection (used by discovery probes). @p timeout
   /// bounds each attempt (0 = config request_timeout); exhaustion returns
   /// Errc::unreachable, invalidates any learned route to the destination,
-  /// and a late response is dropped as a duplicate.
+  /// and a late response is dropped as a duplicate. A registry command
+  /// whose attempt resolves to a replica this kernel hosts is served in
+  /// place (serve_here).
   sim::Task<Result<Message>> request(Message msg);
   sim::Task<Result<Message>> request(Message msg, ChannelEndpoint* via,
                                      sim::Duration timeout = 0,
@@ -504,17 +499,16 @@ class XememKernel {
   sim::Task<void> route_response(Message resp, ChannelEndpoint* from);
   /// Forward @p msg toward msg.dst (or toward the name server).
   sim::Task<void> forward(Message msg, ChannelEndpoint* from);
-  /// Request routed to the owner of msg.segid. On a normal enclave this
-  /// just addresses the name server; on the name-server enclave itself it
-  /// resolves the owner locally and routes directly.
+  /// Request routed to the owner of msg.segid through its home shard (or
+  /// straight to a cached owner), which resolves and forwards it.
   sim::Task<Result<Message>> request_to_owner(Message msg);
   /// Next hop toward @p dst: a learned route, else the default route
-  /// toward the name server. A sharded kernel's own id maps to
-  /// self_channel_, so a replica host serves its own shard requests.
+  /// toward the hub.
   ChannelEndpoint* route_for(EnclaveId dst);
 
-  // Name-server command handling (only when is_ns_).
-  sim::Task<void> ns_handle(Message msg, ChannelEndpoint* from);
+  /// The hub's own duties (only when is_ns_): enclave-id allocation,
+  /// departures, and revocation notes for the hub's attachments.
+  sim::Task<void> hub_handle(Message msg, ChannelEndpoint* from);
   /// A registry host's answer to a segid command (get, attach, detach,
   /// release, cap_derive, cap_revoke): resolve the owner in @p reg and
   /// serve the command here if this enclave owns it, else forward it
@@ -523,18 +517,36 @@ class XememKernel {
   sim::Task<void> route_to_owner(const Registry& reg, Message msg, Message resp,
                                  ChannelEndpoint* from);
 
-  // ----- Sharded name service plumbing (DESIGN.md §6c).
+  // ----- Name-service plumbing (DESIGN.md §6b).
   /// Commands a client addresses to a shard (as opposed to the replica
   /// group's internal protocol traffic).
   static bool is_shard_client_cmd(Cmd c);
+  /// Client commands keyed by a segid, which the shard resolves to its
+  /// owner rather than answering itself.
+  static bool is_segid_cmd(Cmd c);
   /// The replica-group protocol commands themselves.
   static bool is_shard_service_cmd(Cmd c);
-  /// Install local ShardReplica state and actors once registered.
+  /// Install the ShardReplica state and actors of every replica slot this
+  /// enclave's id holds.
+  void host_replicas();
+  /// host_replicas() once registered (every kernel but the hub).
   sim::Task<void> shard_bootstrap_actor();
   /// One-way announce of this enclave's id on every channel after
   /// registration, so directly linked peers learn each other's routes and
   /// shard traffic need not detour through the management hub.
   sim::Task<void> hello_actor();
+  /// Count one name-service command served off a channel and fire the
+  /// crashpoint hook: true means the kernel just crashed and the caller
+  /// must go silent.
+  bool ns_crashpoint();
+  /// The local replica of @p shard when this kernel hosts its believed
+  /// primary, else nullptr: such a kernel resolves its own registry
+  /// commands in place.
+  ShardReplica* local_primary(u32 shard);
+  /// A kernel's own registry command, addressed to a replica it hosts:
+  /// served in place, with one kNameServerOp and no channel or route hop.
+  /// A segid command resolves its owner here and requests it directly.
+  sim::Task<Result<Message>> serve_here(Message msg);
   /// Shard-op wire codec: 5 u64s per op in payload (kind, epoch, segid,
   /// size, owner) plus one '\n'-separated name field per op.
   static void encode_shard_ops(const std::vector<ShardOp>& ops, Message* m);
@@ -542,9 +554,23 @@ class XememKernel {
   static bool same_shard_op(const ShardOp& a, const ShardOp& b);
   /// Serve one shard-addressed command on a hosted replica.
   sim::Task<void> shard_handle(Message msg, ChannelEndpoint* from);
-  /// Append @p op, replicate to the group, apply on majority ack.
-  /// Returns retry_later/no_quorum on a missed majority.
-  sim::Task<Result<void>> shard_quorum_commit(ShardReplica* rep, ShardOp op);
+  /// A replica's response template for @p msg, stamped with @p epoch.
+  Message shard_reply(const Message& msg, u64 epoch) const;
+  /// Admission of a client registry command at @p rep, shared by channel
+  /// and in-place serving: the sender's lease renewal, the epoch guard,
+  /// dedup (channel traffic only), the primary check for writes, and read
+  /// freshness. Returns true to serve the command; otherwise @p resp
+  /// holds the answer (never sent for a one-way command).
+  bool shard_admit(ShardReplica* rep, const Message& msg, Message* resp,
+                   bool in_place);
+  /// Serve an admitted registry read or write at @p rep into @p resp.
+  sim::Task<void> shard_registry_op(ShardReplica* rep, const Message& msg,
+                                    Message* resp, bool in_place);
+  /// Commit @p op: a group of one applies it at once; a larger group
+  /// appends it, replicates it, and applies it on a majority ack (a missed
+  /// majority answers retry_later/no_quorum). An alloc checks its name and
+  /// mints op->segid under the write mutex.
+  sim::Task<Result<void>> shard_quorum_commit(ShardReplica* rep, ShardOp* op);
   static sim::Task<void> shard_replicate_to(XememKernel* k, ShardReplica* rep,
                                             u64 peer, u64 index, ShardOp op,
                                             std::shared_ptr<QuorumRound> round);
@@ -552,9 +578,16 @@ class XememKernel {
   sim::Task<void> shard_probe_actor(u32 shard);
   sim::Task<void> shard_try_promote(u32 shard);
   sim::Task<void> shard_announce_actor(u32 shard, u64 epoch);
-  /// Primary-side lease sweep: expiries become quorum-committed lease_gc
-  /// ops so followers GC the same enclaves at the same log index.
+  /// Periodic lease sweep of a hosted replica (see shard_sweep_leases).
   sim::Task<void> shard_lease_reaper(u32 shard);
+  /// Whether @p rep is a fresh primary holding an expired lease.
+  bool shard_leases_due(const ShardReplica& rep) const;
+  /// Primary-side lease sweep: every expired owner is retired through a
+  /// committed lease_gc op, so followers GC the same enclaves at the same
+  /// log index, and the primary drops its route to the dead enclave.
+  sim::Task<void> shard_sweep_leases(ShardReplica* rep);
+  /// Retire @p owner at @p rep through the log (graceful departure).
+  sim::Task<void> shard_retire(ShardReplica* rep, EnclaveId owner);
   /// Apply one committed op to the replica's registry view.
   void shard_apply(ShardReplica* rep, const ShardOp& op);
   /// Rebuild the view by replaying the whole log (conflict truncation,
@@ -576,8 +609,6 @@ class XememKernel {
   bool dedup_hit(u64 rid, Message* out);
   void dedup_store(u64 rid, const Message& resp);
   void prune_dedup();
-  // Name-server lease sweep (a no-op when leases are disabled).
-  void ns_gc_expired_leases();
   // Expire forwarded-request entries whose response never arrived.
   void prune_pending_fwd();
 
@@ -650,7 +681,6 @@ class XememKernel {
 
   std::vector<ChannelEndpoint*> channels_;
   ChannelEndpoint* ns_channel_{nullptr};  // next hop toward the name server
-  LoopbackEndpoint self_channel_;  // sharded only: requests to our own replicas
   std::unordered_map<u64, ChannelEndpoint*> enclave_map_;  // id -> channel
   std::unordered_map<u64, ChannelEndpoint*> pending_fwd_;  // req_id -> came-from
   std::deque<std::pair<u64, sim::TimePoint>> fwd_log_;  // insertion order/time
@@ -731,24 +761,21 @@ class XememKernel {
 
   u64 next_handle_{1};
 
-  // Name-server state.
-  u64 next_segid_{1};
-  u64 next_enclave_id_{1};  // 0 is the name server itself
-  Registry ns_registry_;
+  // Hub state.
+  u64 next_enclave_id_{1};  // 0 is the hub itself
 
   // ------------------------------------------- name-server death (§6b)
   bool ns_lost_{false};      // discovery terminally exhausted
   bool discovering_{false};  // a discovery() actor is already running
   u64 crash_after_ns_requests_{0};
 
-  // ------------------------------------------- sharded name service state
+  // -------------------------------------------------- name service state
   // Replicas this enclave hosts, keyed by shard. Never erased (crash()
   // included): suspended quorum/vote coroutines hold ShardReplica*.
   std::unordered_map<u32, std::unique_ptr<ShardReplica>> shard_replicas_;
   // Client-side believed shard epochs (index = shard; boot epoch 1).
   std::vector<u64> shard_epoch_;
   u64 shard_rr_{0};  // round-robin spreader for unnamed exports
-  u64 crash_after_shard_requests_{0};
 };
 
 }  // namespace xemem

@@ -2,11 +2,10 @@
 // records, the well-known-name index kept in step with them, and the
 // owners' leases.
 //
-// Both registry hosts keep one: the central name server applies its
-// commands to it directly, and each shard replica (DESIGN.md §6c) replays
-// its committed op log into one. Iteration order is observable: it orders
-// name_list payloads and lease sweeps, and through them the shards'
-// lease_gc commits. So the maps stay std::unordered_map, and clear()
+// Every shard replica (DESIGN.md §6b), the hub's default one included,
+// keeps one and applies its committed ops to it. Iteration order is
+// observable: it orders name_list payloads and lease sweeps, and through
+// them the shards' lease_gc commits. So the maps stay std::unordered_map, and clear()
 // empties them in place (a fresh map would reset the bucket count, and
 // with it the order).
 #pragma once

@@ -36,12 +36,12 @@ enum class Cmd : u8 {
   name_list_resp,    ///< '\n'-joined names + parallel segid payload
 
   // Dynamic partitioning (section 3.2): an enclave leaving the system
-  // tells the name server to retire its routes and any segids it owned.
+  // tells the hub to retire its routes and any segids it owned.
   enclave_shutdown,
 
-  // Liveness: one-way lease renewal sent by registered enclaves to the
-  // name server. Enclaves whose lease lapses (abrupt crash, severed
-  // channel) are garbage-collected by the name server.
+  // Liveness: one-way lease renewal sent by registered enclaves to every
+  // registry replica host. Enclaves whose lease lapses (abrupt crash,
+  // severed channel) are garbage-collected by the shard primaries.
   heartbeat,
 
   // XPMEM commands (Table 1) that cross enclaves.
@@ -53,7 +53,7 @@ enum class Cmd : u8 {
   detach,       ///< drop an attachment (owner unpins)
   detach_resp,
 
-  // Sharded name service (DESIGN.md §6c): the quorum-replication protocol
+  // Sharded name service (DESIGN.md §6b): the quorum-replication protocol
   // among a shard's replica group, plus neighbor route learning.
   shard_replicate,       ///< primary -> follower: append one op at msg.offset
   shard_replicate_resp,
@@ -87,9 +87,9 @@ struct Message {
   EnclaveId src{EnclaveId::invalid()};
   EnclaveId dst{EnclaveId::invalid()};
   u64 req_id{0};
-  /// Sharded name service (DESIGN.md §6c): registry shard this message is
+  /// Sharded name service (DESIGN.md §6b): registry shard this message is
   /// bound for, and the per-shard epoch the sender believes is current.
-  /// shard_epoch == 0 marks classic (unsharded) traffic; replicas reject
+  /// shard_epoch == 0 marks traffic outside the registry; replicas reject
   /// older shard epochs with Errc::stale_epoch and rejections carry the
   /// current one so clients re-resolve the shard's primary.
   u32 shard{0};
@@ -214,10 +214,10 @@ inline const char* cmd_name(Cmd c) {
 }
 
 /// Segids are epoch-prefixed: the top bits carry the epoch that minted
-/// them, the low bits a per-epoch counter. The central name server mints
+/// them, the low bits a per-epoch counter. The hub's default shard mints
 /// everything in epoch 1; a shard primary elected into a later shard epoch
 /// restarts its counter yet can never re-issue a segid still live from a
-/// prior epoch (DESIGN.md §6c).
+/// prior epoch (DESIGN.md §6b).
 constexpr u32 kSegidEpochShift = 48;
 constexpr u64 kSegidSeqMask = (1ull << kSegidEpochShift) - 1;
 

@@ -35,6 +35,7 @@ KernelConfig config_of(const Switches& sw) {
   KernelConfig cfg;
   cfg.lease_duration = sw.leases ? 5_ms : 0;
   cfg.attach_fast_path = sw.fast_path;
+  // Central: the default, one shard hosted by the hub ({{0}}).
   if (sw.sharding) cfg.ns_shards = {{1, 2, 3}};
   cfg.capabilities = sw.capabilities;
   return cfg;
@@ -136,10 +137,9 @@ TEST_P(ConfigMatrix, LifecyclesLeaveNothingBehind) {
     for (const auto& e : kEnclaves) {
       const XememKernel& k = node.kernel(e);
       EXPECT_EQ(k.exports_live(), 0u) << e;
-      EXPECT_EQ(k.ns_segid_count(), 0u) << e;
-      EXPECT_EQ(k.ns_name_count(), 0u) << e;
-      if (k.hosts_shard(0)) {
-        EXPECT_EQ(k.shard_segid_count(0), 0u) << e;
+      if (const Registry* reg = k.shard_registry(0)) {
+        EXPECT_EQ(reg->segid_count(), 0u) << e;
+        EXPECT_EQ(reg->name_count(), 0u) << e;
       }
     }
     EXPECT_EQ(node.machine().pmem().total_refs(), 0u);

@@ -80,7 +80,9 @@ TEST(Fault, OwnerCrashGarbageCollectedViaLeases) {
   // Acceptance: the segment owner's enclave crash()es mid-workload;
   // pending attachers get an error (no hang) within lease expiry plus a
   // retry cycle, the name server drops every trace of the dead enclave,
-  // and all pinned frames drain.
+  // and all pinned frames drain. Leases are granted at an owner's first
+  // export, so the user exports a page too and its lease shows the live
+  // enclave's renewals.
   sim::Engine eng(7002);
   Node node(hw::Machine::r420());
   KernelConfig cfg = tight_config();
@@ -96,6 +98,7 @@ TEST(Fault, OwnerCrashGarbageCollectedViaLeases) {
     os::Process* up = node.enclave("user").create_process(1_MiB).value();
     auto sid = co_await owner_k.xpmem_make(*op, op->image_base(), 1_MiB, "victim");
     CO_ASSERT_TRUE(sid.ok());
+    CO_ASSERT_TRUE((co_await user_k.xpmem_make(*up, up->image_base(), 4_KiB)).ok());
     auto grant = co_await user_k.xpmem_get(sid.value());
     CO_ASSERT_TRUE(grant.ok());
     auto att = co_await user_k.xpmem_attach(*up, grant.value(), 0, 1_MiB);
@@ -124,16 +127,19 @@ TEST(Fault, OwnerCrashGarbageCollectedViaLeases) {
     // Give the lease reaper a tick past expiry, then audit the registry.
     co_await sim::delay(2 * cfg.lease_duration);
     EXPECT_GE(mgmt.stats().leases_expired, 1u);
-    EXPECT_FALSE(mgmt.ns_has_lease(owner_k.id()));
+    const Registry* reg = mgmt.shard_registry(0);
+    CO_ASSERT_TRUE(reg != nullptr);
+    EXPECT_FALSE(reg->has_lease(owner_k.id()));
     EXPECT_FALSE(mgmt.knows_route(owner_k.id()));
-    EXPECT_EQ(mgmt.ns_segid_count(), 0u) << "dead enclave's segids GC'd";
-    EXPECT_EQ(mgmt.ns_name_count(), 0u) << "dead enclave's names GC'd";
+    EXPECT_EQ(reg->find(sid.value()), nullptr) << "dead enclave's segids GC'd";
+    EXPECT_EQ(reg->segid_count(), 1u) << "only the live user's export remains";
+    EXPECT_EQ(reg->name_count(), 0u) << "dead enclave's names GC'd";
 
     // The name space answers sanely afterwards.
     EXPECT_EQ((co_await user_k.xpmem_search("victim")).error(), Errc::no_such_segid);
     EXPECT_EQ((co_await user_k.xpmem_get(sid.value())).error(), Errc::no_such_segid);
     // The surviving (live) enclave's lease keeps renewing via heartbeats.
-    EXPECT_TRUE(mgmt.ns_has_lease(user_k.id()));
+    EXPECT_TRUE(reg->has_lease(user_k.id()));
   };
   eng.run(main());
 }
@@ -343,7 +349,8 @@ TEST(Fault, HeartbeatAtExpiryDoesNotResurrectLease) {
   // runs before lease renewal on every NS command — so a heartbeat
   // arriving at (or after) the expiry instant finds the lease collected
   // and must NOT resurrect it. Regular heartbeats, by contrast, keep the
-  // lease alive indefinitely.
+  // lease alive indefinitely. The lease is granted at the enclave's first
+  // export, which the test plays as a raw segid_alloc to the hub's shard.
   sim::Engine eng(7009);
   Node node(hw::Machine::r420());
   KernelConfig cfg = tight_config();
@@ -366,13 +373,30 @@ TEST(Fault, HeartbeatAtExpiryDoesNotResurrectLease) {
     Message resp = co_await side.a->inbox().recv();
     CO_ASSERT_TRUE(resp.status == Errc::ok);
     const EnclaveId fake{resp.payload.at(0)};
-    EXPECT_TRUE(mgmt.ns_has_lease(fake));
+    const Registry* reg = mgmt.shard_registry(0);
+    CO_ASSERT_TRUE(reg != nullptr);
+    EXPECT_FALSE(reg->has_lease(fake)) << "registration alone grants no lease";
+
+    Message make;
+    make.cmd = Cmd::segid_alloc;
+    make.src = fake;
+    make.dst = EnclaveId{0};
+    make.shard = 0;
+    make.shard_epoch = 1;
+    make.size = 4_KiB;
+    make.req_id = 0xbeef0002;
+    co_await side.a->send(std::move(make));
+    Message made = co_await side.a->inbox().recv();
+    CO_ASSERT_TRUE(made.status == Errc::ok);
+    EXPECT_TRUE(reg->has_lease(fake));
 
     auto beat = [&]() -> sim::Task<void> {
       Message hb;
       hb.cmd = Cmd::heartbeat;
       hb.src = fake;
       hb.dst = EnclaveId{0};
+      hb.shard = 0;
+      hb.shard_epoch = 1;
       hb.req_id = 0xbeef1000 + u64(sim::now());
       co_await side.a->send(std::move(hb));
     };
@@ -383,7 +407,7 @@ TEST(Fault, HeartbeatAtExpiryDoesNotResurrectLease) {
       co_await sim::delay(cfg.lease_duration / 2);
       co_await beat();
     }
-    EXPECT_TRUE(mgmt.ns_has_lease(fake));
+    EXPECT_TRUE(reg->has_lease(fake));
     EXPECT_EQ(mgmt.stats().leases_expired, 0u);
 
     // Silence past the expiry instant, then a late heartbeat: the sweep
@@ -391,13 +415,13 @@ TEST(Fault, HeartbeatAtExpiryDoesNotResurrectLease) {
     co_await sim::delay(cfg.lease_duration + 1_ms);
     co_await beat();
     co_await sim::delay(1_ms);  // let the NS service the beat
-    EXPECT_FALSE(mgmt.ns_has_lease(fake));
+    EXPECT_FALSE(reg->has_lease(fake));
     EXPECT_EQ(mgmt.stats().leases_expired, 1u);
 
-    // Still dead after more late beats: no resurrection path exists.
+    // Still dead after more late beats: no heartbeat resurrects a lease.
     co_await beat();
     co_await sim::delay(1_ms);
-    EXPECT_FALSE(mgmt.ns_has_lease(fake));
+    EXPECT_FALSE(reg->has_lease(fake));
     EXPECT_EQ(mgmt.stats().leases_expired, 1u);
   };
   eng.run(main());

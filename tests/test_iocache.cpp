@@ -611,10 +611,10 @@ TEST(IoCache, BatchedHeartbeatsCutRenewalMessages) {
   };
   eng.run(main());
   EXPECT_EQ(expired, 0u);
-  // Pinned: per tick, every co-kernel sends one message to the name
-  // server and one to each replica host other than itself (7 per tick);
-  // any change to the renewal scheme moves this count.
-  EXPECT_EQ(sent, 168u);
+  // Pinned: per tick, every kernel, the hub included, sends one message to
+  // each replica host other than itself (6 per tick); any change to the
+  // renewal scheme moves this count.
+  EXPECT_EQ(sent, 142u);
 }
 
 TEST(IoCache, ReplayFamiliesHaveTheirShapes) {

@@ -2,7 +2,7 @@
 // shards, majority-ack writes, per-shard epochs and failover by follower
 // log catch-up, survival of the hub's death, the deterministic crashpoint
 // sweep over primaries AND followers, minority-partition grace semantics,
-// and the bounded dedup cache (DESIGN.md §6c).
+// and the bounded dedup cache (DESIGN.md §6b).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -36,7 +36,6 @@ KernelConfig shard_config(std::vector<std::vector<u64>> groups) {
   cfg.ns_shards = std::move(groups);
   cfg.shard_probe_period = 500_us;
   cfg.shard_probe_misses = 2;
-  cfg.quorum_timeout = 1_ms;
   cfg.partition_grace = 4_ms;
   return cfg;
 }
@@ -113,7 +112,7 @@ TEST(NsShard, ShardedRegistryBasics) {
     for (int i = 0; i < 200 && !replicated; ++i) {
       replicated = true;
       for (XememKernel* k : cks) {
-        if (k->hosts_shard(home) && k->shard_segid_count(home) == 0) {
+        if (k->hosts_shard(home) && k->shard_registry(home)->segid_count() == 0) {
           replicated = false;
         }
       }
@@ -383,7 +382,7 @@ TEST(NsShard, CollectiveBootstrapSurvivesPrimaryCrash) {
     XememKernel* boot = node.kernel_with_id(1);
     CO_ASSERT_TRUE(boot != nullptr && boot->is_shard_primary(0));
     // The bootstrap's very next shard interactions trip the crash.
-    boot->crash_after_shard_requests(boot->stats().shard_requests + 3);
+    boot->crash_after_ns_requests(boot->stats().ns_requests + 3);
 
     const std::vector<std::string> placement{name_of_id(node, names, 2),
                                              name_of_id(node, names, 3)};
@@ -617,7 +616,7 @@ TEST(NsShard, MinorityPartitionGraceThenTerminalThenHeals) {
 // retries. Every op must complete or fail with a clean status; the
 // workload as a whole must converge.
 struct ShardSweep {
-  u64 shard_requests{0};
+  u64 ns_requests{0};
   u64 promotions{0};
 };
 
@@ -644,7 +643,7 @@ ShardSweep run_shard_crashpoint(u64 victim_eid, u64 k) {
     XememKernel* client = node.kernel_with_id(4);
     CO_ASSERT_TRUE(victim != nullptr && client != nullptr);
     const std::string cname = name_of_id(node, names, 4);
-    if (k != 0) victim->crash_after_shard_requests(k);
+    if (k != 0) victim->crash_after_ns_requests(k);
     os::Process* op = node.enclave(cname).create_process(8_MiB).value();
 
     // Registrations across both shards (named + anonymous), lookups, then
@@ -702,7 +701,7 @@ ShardSweep run_shard_crashpoint(u64 victim_eid, u64 k) {
     for (const auto& n : names) {
       out.promotions += node.kernel(n).stats().shard_promotions;
     }
-    out.shard_requests = victim->stats().shard_requests;
+    out.ns_requests = victim->stats().ns_requests;
   };
   eng.run(main());
   return out;
@@ -718,11 +717,11 @@ TEST(NsShard, CrashpointSweepConvergesForPrimariesAndFollowers) {
     ShardSweep base = run_shard_crashpoint(victim, 0);
     EXPECT_EQ(base.promotions, 0u)
         << "victim " << victim << ": baseline must not elect";
-    ASSERT_GT(base.shard_requests, 4u);
+    ASSERT_GT(base.ns_requests, 4u);
     u64 promotions = 0;
     // Late crashpoints only move the kill between follower-probe services;
     // cap the sweep where the workload's own commands have all been seen.
-    const u64 kmax = std::min<u64>(base.shard_requests + 2, 30);
+    const u64 kmax = std::min<u64>(base.ns_requests + 2, 30);
     for (u64 k = 1; k <= kmax; ++k) {
       ShardSweep r = run_shard_crashpoint(victim, k);
       promotions += r.promotions;
@@ -824,6 +823,193 @@ TEST(NsShard, ShardedFailoverIsDeterministicPerSeed) {
     return fingerprint;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(NsShard, HubExportsKeepTheirLeaseUnderSharding) {
+  // Regression: under sharding with leases, the hub's own export was
+  // garbage-collected one lease after xpmem_make. The committed alloc
+  // grants its owner (the hub) a lease at every replica, and the hub now
+  // renews it like every other kernel, so the export stays resolvable.
+  sim::Engine eng(4242);
+  Node node(hw::Machine::r420());
+  KernelConfig cfg;
+  cfg.lease_duration = 5_ms;
+  cfg.ns_shards = {{1, 2, 3}};
+  node.set_kernel_config(cfg);
+  auto& hub = node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
+  auto& kitten0 = node.add_cokernel("kitten0", 0, {6, 7}, 256_MiB);
+  node.add_cokernel("kitten1", 0, {8, 9}, 256_MiB);
+  node.add_vm("vm", "linux", 256_MiB, {4, 5});
+
+  auto main = [&]() -> sim::Task<void> {
+    co_await node.start();
+    os::Process* hp = node.enclave("linux").create_process(1_MiB).value();
+    auto sid = co_await hub.xpmem_make(*hp, hp->image_base(), 64_KiB, "hubseg");
+    CO_ASSERT_TRUE(sid.ok());
+    auto grant = co_await kitten0.xpmem_get(sid.value());
+    CO_ASSERT_TRUE(grant.ok());
+    CO_ASSERT_TRUE((co_await kitten0.xpmem_release(grant.value())).ok());
+
+    co_await sim::delay(30_ms);  // six leases' worth of renewals
+    auto again = co_await kitten0.xpmem_get(sid.value());
+    EXPECT_TRUE(again.ok()) << errc_name(again.error());
+    auto found = co_await kitten0.xpmem_search("hubseg");
+    CO_ASSERT_TRUE(found.ok());
+    EXPECT_EQ(found.value().value(), sid.value().value());
+    if (again.ok()) {
+      CO_ASSERT_TRUE((co_await kitten0.xpmem_release(again.value())).ok());
+    }
+    u64 expired = 0;
+    for (const char* n : {"linux", "kitten0", "kitten1", "vm"}) {
+      expired += node.kernel(n).stats().leases_expired;
+    }
+    EXPECT_EQ(expired, 0u);
+    node.quiesce();
+  };
+  eng.run(main());
+}
+
+TEST(NsShard, ConcurrentAllocsOfOneNameCommitOnce) {
+  // Regression: a three-replica primary checked a name before its quorum
+  // commit suspended, so two concurrent allocs of one name both
+  // committed. The name is now checked under the shard's write mutex: one
+  // make wins, the other gets already_exists, and the name resolves to the
+  // winner.
+  for (u64 seed : {7001ull, 7002ull, 7003ull}) {
+    sim::Engine eng(seed);
+    Node node(hw::Machine::r420());
+    node.set_kernel_config(shard_config({{1, 2, 3}}));
+    node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
+    node.add_cokernel("kitten0", 0, {4, 5}, 256_MiB);
+    auto& kitten1 = node.add_cokernel("kitten1", 0, {6, 7}, 256_MiB);
+    auto& kitten2 = node.add_cokernel("kitten2", 0, {8, 9}, 256_MiB);
+    node.link_peers("kitten0", "kitten1");
+    node.link_peers("kitten0", "kitten2");
+    node.link_peers("kitten1", "kitten2");
+
+    auto main = [&]() -> sim::Task<void> {
+      co_await node.start();
+      co_await sim::delay(200_us);  // let the startup hellos land
+      os::Process* p1 = node.enclave("kitten1").create_process(1_MiB).value();
+      os::Process* p2 = node.enclave("kitten2").create_process(1_MiB).value();
+      Result<Segid> r1{Errc::unreachable};
+      Result<Segid> r2{Errc::unreachable};
+      u32 pending = 2;
+      sim::Event done;
+      auto make = [&](XememKernel* k, os::Process* p,
+                      Result<Segid>* out) -> sim::Task<void> {
+        *out = co_await k->xpmem_make(*p, p->image_base(), 4_KiB, "dup");
+        if (--pending == 0) done.set();
+      };
+      sim::Engine::current()->spawn(make(&kitten1, p1, &r1));
+      sim::Engine::current()->spawn(make(&kitten2, p2, &r2));
+      co_await done.wait();
+
+      CO_ASSERT_TRUE(r1.ok() != r2.ok());
+      const Result<Segid>& winner = r1.ok() ? r1 : r2;
+      const Result<Segid>& loser = r1.ok() ? r2 : r1;
+      EXPECT_EQ(loser.error(), Errc::already_exists) << "seed " << seed;
+      auto found = co_await kitten1.xpmem_search("dup");
+      CO_ASSERT_TRUE(found.ok());
+      EXPECT_EQ(found.value().value(), winner.value().value()) << "seed " << seed;
+    };
+    eng.run(main());
+  }
+}
+
+TEST(NsShard, HubHostedGroupOutlivesTheHub) {
+  // A replica group may include the hub: {0, 1, 2}, with the hub as boot
+  // primary. The registry serves while the hub lives; once it dies, the
+  // {1, 2} majority elects a primary and keeps answering search and get
+  // for the existing segids over peer links. Enclave ids still come only
+  // from the hub, so an enclave that registers after its death stays
+  // registration_failed() (DESIGN.md §6b).
+  sim::Engine eng(9011);
+  Node node(hw::Machine::r420());
+  node.set_kernel_config(shard_config({{0, 1, 2}}));
+  auto& hub = node.add_linux_mgmt("linux", 0, {0, 1, 2, 3});
+  node.add_cokernel("ck1", 0, {4, 5}, 256_MiB);
+  node.add_cokernel("ck2", 0, {6, 7}, 256_MiB);
+  node.add_cokernel("ck3", 0, {8, 9}, 256_MiB);
+  node.link_peers("ck1", "ck2");
+  node.link_peers("ck1", "ck3");
+  node.link_peers("ck2", "ck3");
+  const std::vector<std::string> names{"ck1", "ck2", "ck3"};
+
+  auto main = [&]() -> sim::Task<void> {
+    co_await node.start();
+    co_await sim::delay(200_us);  // let the startup hellos land
+    CO_ASSERT_TRUE(hub.is_shard_primary(0));
+    const std::string n1 = name_of_id(node, names, 1);
+    const std::string n2 = name_of_id(node, names, 2);
+    const std::string n3 = name_of_id(node, names, 3);
+    XememKernel& r1 = node.kernel(n1);
+    XememKernel& r2 = node.kernel(n2);
+    XememKernel& client = node.kernel(n3);
+
+    os::Process* p1 = node.enclave(n1).create_process(1_MiB).value();
+    os::Process* p2 = node.enclave(n2).create_process(1_MiB).value();
+    os::Process* hp = node.enclave("linux").create_process(1_MiB).value();
+    auto alpha = co_await r1.xpmem_make(*p1, p1->image_base(), 64_KiB, "alpha");
+    auto beta = co_await r2.xpmem_make(*p2, p2->image_base(), 64_KiB, "beta");
+    auto own = co_await hub.xpmem_make(*hp, hp->image_base(), 4_KiB, "hubseg");
+    CO_ASSERT_TRUE(alpha.ok() && beta.ok() && own.ok());
+
+    // Before the crash the hub-led group serves every host and the client.
+    auto found = co_await client.xpmem_search("alpha");
+    CO_ASSERT_TRUE(found.ok());
+    EXPECT_EQ(found.value().value(), alpha.value().value());
+    auto g = co_await client.xpmem_get(beta.value());
+    CO_ASSERT_TRUE(g.ok());
+    CO_ASSERT_TRUE((co_await client.xpmem_release(g.value())).ok());
+    auto hub_found = co_await hub.xpmem_search("beta");
+    CO_ASSERT_TRUE(hub_found.ok());
+    for (XememKernel* k : {&r1, &r2}) {
+      CO_ASSERT_TRUE(k->shard_registry(0) != nullptr);
+      EXPECT_EQ(k->shard_registry(0)->segid_count(), 3u) << "replicated";
+    }
+
+    hub.crash();
+
+    // The surviving majority elects a primary from its own slots...
+    bool elected = false;
+    for (int i = 0; i < 400 && !elected; ++i) {
+      elected = r1.is_shard_primary(0) || r2.is_shard_primary(0);
+      if (!elected) co_await sim::delay(100_us);
+    }
+    EXPECT_TRUE(elected);
+    EXPECT_GE(std::max(r1.shard_epoch_of(0), r2.shard_epoch_of(0)), 2u);
+
+    // ...and the client's lookups ride the retries over its peer links.
+    Result<Segid> after{Errc::unreachable};
+    for (int t = 0; t < 120; ++t) {
+      after = co_await client.xpmem_search("alpha");
+      if (after.ok()) break;
+      CO_ASSERT_TRUE(clean_error(after.error()));
+      co_await sim::delay(500_us);
+    }
+    CO_ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after.value().value(), alpha.value().value());
+    for (Segid s : {alpha.value(), beta.value()}) {
+      Result<XpmemGrant> grant{Errc::unreachable};
+      for (int t = 0; t < 120; ++t) {
+        grant = co_await client.xpmem_get(s);
+        if (grant.ok()) break;
+        CO_ASSERT_TRUE(clean_error(grant.error()));
+        co_await sim::delay(500_us);
+      }
+      CO_ASSERT_TRUE(grant.ok());
+      CO_ASSERT_TRUE((co_await client.xpmem_release(grant.value())).ok());
+    }
+
+    // A late enclave can reach no id allocator.
+    auto& late = node.add_cokernel("late", 0, {10, 11}, 256_MiB);
+    late.start();
+    co_await late.wait_registered();
+    EXPECT_TRUE(late.registration_failed());
+    node.quiesce();
+  };
+  eng.run(main());
 }
 
 }  // namespace
